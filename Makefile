@@ -42,13 +42,15 @@ stress:
 # Replay the checked-in fuzz corpora, then give each target a short live
 # fuzzing burst. FUZZTIME=2m fuzz-smoke for a deeper local run.
 fuzz-smoke:
-	$(GO) test ./internal/tuple ./internal/wire ./internal/baggage -run '^Fuzz'
+	$(GO) test ./internal/tuple ./internal/wire ./internal/baggage ./internal/query -run '^Fuzz'
 	@set -e; for t in FuzzDecodeValue FuzzDecodeTuple FuzzValueRoundTrip; do \
 		$(GO) test ./internal/tuple -run '^$$' -fuzz "^$$t$$" -fuzztime $(FUZZTIME); done
 	@set -e; for t in FuzzUnmarshal FuzzDecodeExpr; do \
 		$(GO) test ./internal/wire -run '^$$' -fuzz "^$$t$$" -fuzztime $(FUZZTIME); done
 	@set -e; for t in FuzzDecodeBaggage; do \
 		$(GO) test ./internal/baggage -run '^$$' -fuzz "^$$t$$" -fuzztime $(FUZZTIME); done
+	@set -e; for t in FuzzParseQuery; do \
+		$(GO) test ./internal/query -run '^$$' -fuzz "^$$t$$" -fuzztime $(FUZZTIME); done
 
 # Full-suite statement coverage, failing if the total drops below the
 # floor recorded in coverage.baseline.

@@ -19,6 +19,11 @@
 // query with nonzero dropped/quarant is partial — exact on the groups it
 // reports, explicit about what it lost.
 //
+// Heartbeats carry each agent's metrics as (name, value) pairs, and each
+// agents-table column after "queries" shows one metric by the name it has
+// everywhere, telemetry included (drops is agent.reports.dropped). A
+// metric a beat lacks shows 0; names the frontend does not know are ignored.
+//
 // Usage:
 //
 //	ptstat -addr 127.0.0.1:7000            one-shot cluster view

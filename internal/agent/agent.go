@@ -72,13 +72,32 @@ var MetaReportExports = []string{"query", "rows", "tuples"}
 // HealthTopic at every flush (reports or not). Time is the agent's own
 // clock; Interval is its reporting cadence, so the frontend can judge
 // staleness relative to how often this agent should speak.
+//
+// The beat is self-describing: Values[i] is the sender's total for the
+// metric Names[i] since it started (MetricNames for an agent). Both are
+// read-only: Names is the sender's table, shared by all its beats, and
+// Values may be shared by consecutive beats that carry the same figures.
+// Readers look metrics up by name (Metric), so a sender may add or drop
+// metrics without breaking them.
 type Heartbeat struct {
 	Host     string
 	ProcName string
 	Time     time.Duration
 	Interval time.Duration
 	Queries  int
-	Stats    Stats
+	Names    []string
+	Values   []int64
+}
+
+// Metric returns the value of the named metric, or 0 if the beat does not
+// carry it.
+func (h Heartbeat) Metric(name string) int64 {
+	for i, n := range h.Names {
+		if n == name {
+			return h.Values[i]
+		}
+	}
+	return 0
 }
 
 // StatusRequest asks the frontend for its status text (cmd/ptstat sends
@@ -226,12 +245,13 @@ const DefaultInterval = time.Second
 // buffer (reports retained per process while the bus link is down).
 const DefaultRetention = 64
 
-// Stats counts an agent's activity, used by the tuple-traffic experiments
-// (Fig 6, and the §4 claim that Q2 drops from ~600 emitted tuples/s to 6
-// reported tuples/s per DataNode) and by the frontend's health view. The
-// resilience counters make report loss auditable: every report the agent
-// ever published is either merged at the frontend, still buffered, or
-// counted in ReportsDropped — nothing disappears silently.
+// Stats is the in-process view of an agent's metrics (MetricNames), used
+// by the tuple-traffic experiments (Fig 6, and the §4 claim that Q2 drops
+// from ~600 emitted tuples/s to 6 reported tuples/s per DataNode) and the
+// scenario harness; remote views read the same metrics by name from
+// heartbeats. The resilience counters make report loss auditable: every
+// report the agent ever published is either merged at the frontend, still
+// buffered, or counted in ReportsDropped — nothing disappears silently.
 type Stats struct {
 	TuplesEmitted int64 // advice EMIT operations executed
 	RowsReported  int64 // aggregated rows published to the bus
@@ -259,9 +279,8 @@ type Stats struct {
 	SpansDropped  int64 // spans overwritten in the ring before shipping
 	SpanBatches   int64 // SpanBatch frames published on TraceTopic
 
-	// Combiner counters (zero for ordinary agents). A combiner tier
-	// heartbeats with the same Stats shape so ptstat shows the whole
-	// aggregation tree in one table: reports merged in from downstream and
+	// Combiner counters (zero for ordinary agents; see
+	// combiner.Combiner.Stats): reports merged in from downstream and
 	// frames forwarded upstream. Merged − forwarded traffic is the tree's
 	// whole point; both sides are counted so the reduction is auditable.
 	CombinerReportsMerged int64 // downstream reports folded into tier state
@@ -273,10 +292,63 @@ type Stats struct {
 	// reconciles against the unsampled total). SampleRateMilli is the
 	// lowest adaptive effective rate across this agent's sampled queries,
 	// in thousandths: 1000 means everything runs exact (no backoff, or no
-	// sampled queries); 0 appears only in frames from combiner tiers,
-	// which do not sample.
+	// sampled queries). Combiner tiers do not sample and report no rate.
 	SampledOut      int64
 	SampleRateMilli int64
+}
+
+// Indexes into MetricNames. The metrics before numCounters are counters
+// the agent bumps, each at one site; the rest are read from their owners
+// (accumulators, span recorder, sampling controller) when sampled.
+const (
+	mTuples = iota
+	mRows
+	mReports
+	mBatches
+	mRetained
+	mReplayed
+	mDropped
+	mReconnects
+	mExpired
+	mQuarantines
+	mBagGroups
+	mBagTuples
+	mBagBytes
+	mSpanBatches
+	mSampledOut
+	numCounters
+	mRawsDropped = iota - 1
+	mGroupsOverflowed
+	mSpansCaptured
+	mSpansDropped
+	mSampleRate
+	numMetrics
+)
+
+// MetricNames names every agent metric, in heartbeat order. Each name is
+// used everywhere the metric appears: the telemetry registry
+// (SetTelemetry), heartbeat pairs, and ptstat's column table.
+var MetricNames = []string{
+	mTuples:           "agent.tuples",
+	mRows:             "agent.rows",
+	mReports:          "agent.reports",
+	mBatches:          "agent.batches",
+	mRetained:         "agent.reports.retained",
+	mReplayed:         "agent.reports.replayed",
+	mDropped:          "agent.reports.dropped",
+	mReconnects:       "agent.reconnects",
+	mExpired:          "agent.leases.expired",
+	mQuarantines:      "agent.quarantines",
+	mBagGroups:        "agent.baggage.dropped.groups",
+	mBagTuples:        "agent.baggage.dropped.tuples",
+	mBagBytes:         "agent.baggage.dropped.bytes",
+	mSpanBatches:      "agent.spans.batches",
+	mSampledOut:       "agent.sampled.out",
+	mRawsDropped:      "agent.raws.dropped",
+	mGroupsOverflowed: "agent.groups.overflowed",
+	mSpansCaptured:    "agent.spans.captured",
+	mSpansDropped:     "agent.spans.dropped",
+	mSampleRate:       "agent.sample.rate.milli",
 }
 
 // TenantQuota is one tenant's resource usage at one process, as accounted
@@ -327,32 +399,23 @@ type Agent struct {
 	// flush time (cold path, under mu — the hot emit path stays untouched).
 	tenantTuples map[string]int64
 
-	tuplesEmitted atomic.Int64
-	rowsReported  atomic.Int64
-	reports       atomic.Int64
-	batches       atomic.Int64
+	// ctr holds the agent's counters, indexed like MetricNames.
+	ctr [numCounters]telemetry.Counter
+	// Gauges exported by SetTelemetry: installed queries, reports awaiting
+	// replay, and the shard count of the newest accumulator.
+	queriesG, bufferedG, shardsG telemetry.Gauge
 
 	retainMu  sync.Mutex
 	retained  []Report // FIFO ring of reports awaiting replay
 	retainCap int
 
-	reportsRetained atomic.Int64
-	reportsReplayed atomic.Int64
-	reportsDropped  atomic.Int64
-	reconnects      atomic.Int64
-
-	leasesExpired        atomic.Int64
-	quarantines          atomic.Int64
-	baggageGroupsDropped atomic.Int64
-	baggageTuplesDropped atomic.Int64
-	baggageBytesDropped  atomic.Int64
 	// Accumulator drop counters folded in when a query is uninstalled,
 	// so Stats stays cumulative across a query's whole lifetime.
 	rawsDroppedRetired      atomic.Int64
 	groupsOverflowedRetired atomic.Int64
 
-	recorder    atomic.Pointer[spans.Recorder]
-	spanBatches atomic.Int64
+	recorder atomic.Pointer[spans.Recorder]
+	lastBeat atomic.Pointer[[numMetrics]int64] // Values of the latest heartbeat
 
 	// Request-level sampling state. sampler holds per-query adaptive
 	// effective rates; samplingView is a copy-on-write, id-sorted list of
@@ -362,12 +425,10 @@ type Agent struct {
 	// flush: any growth is budget pressure and backs the rates off.
 	sampler      *sampling.Controller
 	samplingView atomic.Pointer[[]samplingQuery]
-	sampledOut   atomic.Int64
 	pressureMark atomic.Int64
 	rngMu        sync.Mutex
 	sampleRng    *rand.Rand
 
-	meters atomic.Pointer[agentMeters]
 	metaTP atomic.Pointer[tracepoint.Tracepoint]
 
 	controlSub bus.Subscription
@@ -380,45 +441,16 @@ type samplingQuery struct {
 	rate float64
 }
 
-// agentMeters are the agent's self-telemetry instruments.
-type agentMeters struct {
-	reports    *telemetry.Counter
-	rows       *telemetry.Counter
-	tuples     *telemetry.Counter
-	queries    *telemetry.Gauge
-	retainedC  *telemetry.Counter
-	replayedC  *telemetry.Counter
-	droppedC   *telemetry.Counter
-	reconnects *telemetry.Counter
-	buffered   *telemetry.Gauge
-	expiredC   *telemetry.Counter
-	quarantC   *telemetry.Counter
-	bagBytesC  *telemetry.Counter
-	batchesC   *telemetry.Counter
-	shardsG    *telemetry.Gauge
-}
-
-// SetTelemetry attaches self-telemetry to the agent: "agent.reports",
-// "agent.rows", "agent.tuples" counters, an "agent.queries" gauge, and the
-// resilience meters "agent.reports.retained", "agent.reports.replayed",
-// "agent.reports.dropped", "agent.reconnects", and "agent.reports.buffered".
+// SetTelemetry exports the agent's counters in t under their MetricNames
+// (totals since the agent started), plus the gauges "agent.queries",
+// "agent.reports.buffered" and "agent.acc.shards".
 func (a *Agent) SetTelemetry(t *telemetry.Registry) {
-	a.meters.Store(&agentMeters{
-		reports:    t.Counter("agent.reports"),
-		rows:       t.Counter("agent.rows"),
-		tuples:     t.Counter("agent.tuples"),
-		queries:    t.Gauge("agent.queries"),
-		retainedC:  t.Counter("agent.reports.retained"),
-		replayedC:  t.Counter("agent.reports.replayed"),
-		droppedC:   t.Counter("agent.reports.dropped"),
-		reconnects: t.Counter("agent.reconnects"),
-		buffered:   t.Gauge("agent.reports.buffered"),
-		expiredC:   t.Counter("agent.leases.expired"),
-		quarantC:   t.Counter("agent.quarantines"),
-		bagBytesC:  t.Counter("agent.baggage.dropped.bytes"),
-		batchesC:   t.Counter("agent.batches"),
-		shardsG:    t.Gauge("agent.acc.shards"),
-	})
+	for i := range a.ctr {
+		t.AddCounter(MetricNames[i], &a.ctr[i])
+	}
+	t.AddGauge("agent.queries", &a.queriesG)
+	t.AddGauge("agent.reports.buffered", &a.bufferedG)
+	t.AddGauge("agent.acc.shards", &a.shardsG)
 }
 
 // EnableMetaTracepoint defines MetaReportTracepoint in this process's
@@ -581,15 +613,13 @@ func (a *Agent) install(m Install) {
 	a.queries[m.QueryID] = qs
 	a.weaveLocked(qs)
 	a.rebuildViewLocked()
-	if m := a.meters.Load(); m != nil {
-		m.queries.Set(int64(len(a.queries)))
-	}
 }
 
 // rebuildViewLocked republishes the copy-on-write query snapshot after a
 // membership change. Caller holds a.mu (New calls it before the agent is
 // shared, which is equivalent). The sampling view is rebuilt alongside,
-// sorted by query id so decision minting is deterministic.
+// sorted by query id so decision minting is deterministic, and the
+// agent.queries gauge follows.
 func (a *Agent) rebuildViewLocked() {
 	view := make(map[string]*queryState, len(a.queries))
 	var sv []samplingQuery
@@ -602,6 +632,7 @@ func (a *Agent) rebuildViewLocked() {
 	sort.Slice(sv, func(i, j int) bool { return sv[i].id < sv[j].id })
 	a.queriesView.Store(&view)
 	a.samplingView.Store(&sv)
+	a.queriesG.Set(int64(len(view)))
 }
 
 // SetAccumulatorShards fixes the shard count of per-query accumulators
@@ -653,9 +684,7 @@ func (a *Agent) ensureAcc(qs *queryState, op *advice.EmitOp) *advice.ShardedAccu
 	if !qs.acc.CompareAndSwap(nil, acc) {
 		return qs.acc.Load()
 	}
-	if m := a.meters.Load(); m != nil {
-		m.shardsG.Set(int64(acc.Shards()))
-	}
+	a.shardsG.Set(int64(acc.Shards()))
 	return acc
 }
 
@@ -701,9 +730,6 @@ func (a *Agent) uninstall(queryID string) {
 	a.sampler.Remove(queryID)
 	delete(a.queries, queryID)
 	a.rebuildViewLocked()
-	if m := a.meters.Load(); m != nil {
-		m.queries.Set(int64(len(a.queries)))
-	}
 }
 
 // EmitTuple implements advice.Emitter: process-local aggregation. This is
@@ -711,46 +737,37 @@ func (a *Agent) uninstall(queryID string) {
 // takes no locks: the query resolves through the copy-on-write view and
 // the tuple lands in a sharded accumulator striped across Ps.
 func (a *Agent) EmitTuple(p *advice.Program, w tuple.Tuple) {
-	a.tuplesEmitted.Add(1)
-	if m := a.meters.Load(); m != nil {
-		m.tuples.Inc()
+	if qs := a.emitting(p); qs != nil {
+		a.ensureAcc(qs, p.Emit).Add(w)
+		qs.tuples.Add(1)
 	}
-	view := a.queriesView.Load()
-	if view == nil {
-		return
-	}
-	qs, ok := (*view)[p.QueryID]
-	if !ok {
-		return
-	}
-	a.ensureAcc(qs, p.Emit).Add(w)
-	qs.tuples.Add(1)
 }
 
 // EmitTupleWeighted implements advice.WeightedEmitter: EmitTuple for a
 // tuple from a sampled request, carrying its inverse-rate weight into
 // the accumulator so COUNT/SUM aggregate to unbiased estimates.
 func (a *Agent) EmitTupleWeighted(p *advice.Program, w tuple.Tuple, weight float64) {
-	a.tuplesEmitted.Add(1)
-	if m := a.meters.Load(); m != nil {
-		m.tuples.Inc()
+	if qs := a.emitting(p); qs != nil {
+		a.ensureAcc(qs, p.Emit).AddWeighted(w, weight)
+		qs.tuples.Add(1)
 	}
+}
+
+// emitting counts one emitted tuple and returns the installed query it
+// belongs to, or nil if the query is gone.
+func (a *Agent) emitting(p *advice.Program) *queryState {
+	a.ctr[mTuples].Inc()
 	view := a.queriesView.Load()
 	if view == nil {
-		return
+		return nil
 	}
-	qs, ok := (*view)[p.QueryID]
-	if !ok {
-		return
-	}
-	a.ensureAcc(qs, p.Emit).AddWeighted(w, weight)
-	qs.tuples.Add(1)
+	return (*view)[p.QueryID]
 }
 
 // NoteSampledOut implements advice.SampleSink: a crossing was suppressed
 // by the request's sampling decision.
 func (a *Agent) NoteSampledOut(p *advice.Program) {
-	a.sampledOut.Add(1)
+	a.ctr[mSampledOut].Inc()
 }
 
 // MintSampleDecision mints the request-level sampling decision into
@@ -811,10 +828,7 @@ func (a *Agent) NoteQuarantine(p *advice.Program, reason string) {
 	if adv != nil {
 		a.reg.Unweave(p.Tracepoint, adv)
 	}
-	a.quarantines.Add(1)
-	if m := a.meters.Load(); m != nil {
-		m.quarantC.Inc()
-	}
+	a.ctr[mQuarantines].Inc()
 	a.bus.Publish(QuarantineTopic, Quarantine{
 		QueryID:    p.QueryID,
 		Tracepoint: p.Tracepoint,
@@ -848,12 +862,9 @@ func (a *Agent) NoteBaggageDrops(p *advice.Program, recs []baggage.DropRecord) {
 // performed at this process's pack sites. Each eviction happens at
 // exactly one pack site, so summing across agents is exact.
 func (a *Agent) NotePackStats(p *advice.Program, st baggage.PackStats) {
-	a.baggageGroupsDropped.Add(st.EvictedGroups)
-	a.baggageTuplesDropped.Add(st.EvictedTuples)
-	a.baggageBytesDropped.Add(st.EvictedBytes)
-	if m := a.meters.Load(); m != nil {
-		m.bagBytesC.Add(st.EvictedBytes)
-	}
+	a.ctr[mBagGroups].Add(st.EvictedGroups)
+	a.ctr[mBagTuples].Add(st.EvictedTuples)
+	a.ctr[mBagBytes].Add(st.EvictedBytes)
 }
 
 // reportLoop publishes partial results every interval until the simulation
@@ -873,7 +884,7 @@ func (a *Agent) Flush() {
 	// Adaptive sampling tick: baggage drop counters growing since the last
 	// flush means the request path is over budget — back sampling rates
 	// off. A quiet interval walks them back toward each query's base rate.
-	cur := a.baggageGroupsDropped.Load() + a.baggageTuplesDropped.Load() + a.baggageBytesDropped.Load()
+	cur := a.ctr[mBagGroups].Load() + a.ctr[mBagTuples].Load() + a.ctr[mBagBytes].Load()
 	prev := a.pressureMark.Swap(cur)
 	a.sampler.Tick(cur > prev)
 	a.mu.Lock()
@@ -972,13 +983,8 @@ func (a *Agent) Flush() {
 			r.Groups = p.acc.Groups()
 			r.Raws = p.acc.Raws()
 		}
-		rows := int64(len(r.Groups) + len(r.Raws))
-		a.rowsReported.Add(rows)
-		a.reports.Add(1)
-		if m := a.meters.Load(); m != nil {
-			m.reports.Inc()
-			m.rows.Add(rows)
-		}
+		a.ctr[mRows].Add(int64(len(r.Groups) + len(r.Raws)))
+		a.ctr[mReports].Inc()
 		reports = append(reports, r)
 	}
 	a.publishBatches(reports)
@@ -990,13 +996,24 @@ func (a *Agent) Flush() {
 		}
 		a.publishExplain(flushNS, now)
 	}
+	// An idle agent's figures do not change between beats, so its beats
+	// share one Values array until they do: an idle beat then allocates
+	// only its header, and simulated clusters publish up to ~1.4 beats
+	// per request.
+	vals := a.lastBeat.Load()
+	if cur := a.read(); vals == nil || cur != *vals {
+		vals = new([numMetrics]int64)
+		*vals = cur
+		a.lastBeat.Store(vals)
+	}
 	a.bus.Publish(HealthTopic, Heartbeat{
 		Host:     a.proc.Host,
 		ProcName: a.proc.ProcName,
 		Time:     a.now(),
 		Interval: a.interval,
 		Queries:  nQueries,
-		Stats:    a.Stats(),
+		Names:    MetricNames,
+		Values:   vals[:],
 	})
 	if len(usage) > 0 {
 		a.bus.Publish(HealthTopic, TenantUsage{
@@ -1038,10 +1055,7 @@ func (a *Agent) publishBatches(reports []Report) {
 		if len(batch) == 0 {
 			return
 		}
-		a.batches.Add(1)
-		if m := a.meters.Load(); m != nil {
-			m.batchesC.Inc()
-		}
+		a.ctr[mBatches].Inc()
 		a.bus.Publish(topic, ReportBatch{
 			Host:     a.proc.Host,
 			ProcName: a.proc.ProcName,
@@ -1078,7 +1092,7 @@ func (a *Agent) publishSpans(rec *spans.Recorder, now time.Duration) {
 		if len(batch) == 0 {
 			return
 		}
-		a.spanBatches.Add(1)
+		a.ctr[mSpanBatches].Inc()
 		a.bus.Publish(TraceTopic, SpanBatch{
 			Host:     a.proc.Host,
 			ProcName: a.proc.ProcName,
@@ -1199,10 +1213,7 @@ func (a *Agent) expireLeases() {
 	sort.Strings(expired)
 	for _, id := range expired {
 		a.uninstall(id)
-		a.leasesExpired.Add(1)
-		if m := a.meters.Load(); m != nil {
-			m.expiredC.Inc()
-		}
+		a.ctr[mExpired].Inc()
 	}
 }
 
@@ -1273,7 +1284,6 @@ func (a *Agent) SetRetention(capacity int) {
 // OnDrop path), evicting the oldest buffered report — counted in
 // ReportsDropped — if the ring is full.
 func (a *Agent) Retain(r Report) {
-	m := a.meters.Load()
 	a.retainMu.Lock()
 	limit := a.retainCap
 	if limit <= 0 {
@@ -1285,16 +1295,11 @@ func (a *Agent) Retain(r Report) {
 		evicted++
 	}
 	a.retained = append(a.retained, r)
-	buffered := len(a.retained)
+	a.bufferedG.Set(int64(len(a.retained)))
 	a.retainMu.Unlock()
 
-	a.reportsRetained.Add(1)
-	a.reportsDropped.Add(int64(evicted))
-	if m != nil {
-		m.retainedC.Inc()
-		m.droppedC.Add(int64(evicted))
-		m.buffered.Set(int64(buffered))
-	}
+	a.ctr[mRetained].Inc()
+	a.ctr[mDropped].Add(int64(evicted))
 }
 
 // ReplayRetained drains the outage buffer in FIFO order through send,
@@ -1302,7 +1307,6 @@ func (a *Agent) Retain(r Report) {
 // front). It returns how many reports were replayed. Typically called
 // from a link's OnUp callback with the link's direct Send.
 func (a *Agent) ReplayRetained(send func(Report) error) int {
-	m := a.meters.Load()
 	replayed := 0
 	for {
 		a.retainMu.Lock()
@@ -1312,7 +1316,7 @@ func (a *Agent) ReplayRetained(send func(Report) error) int {
 		}
 		r := a.retained[0]
 		a.retained = a.retained[1:]
-		buffered := len(a.retained)
+		a.bufferedG.Set(int64(len(a.retained)))
 		a.retainMu.Unlock()
 
 		if err := send(r); err != nil {
@@ -1320,15 +1324,12 @@ func (a *Agent) ReplayRetained(send func(Report) error) int {
 			// oldest unreplayed one.
 			a.retainMu.Lock()
 			a.retained = append([]Report{r}, a.retained...)
+			a.bufferedG.Set(int64(len(a.retained)))
 			a.retainMu.Unlock()
 			break
 		}
 		replayed++
-		a.reportsReplayed.Add(1)
-		if m != nil {
-			m.replayedC.Inc()
-			m.buffered.Set(int64(buffered))
-		}
+		a.ctr[mReplayed].Inc()
 	}
 	return replayed
 }
@@ -1344,49 +1345,57 @@ func (a *Agent) Buffered() int {
 // pivot layer wires this to the link's OnUp callback so heartbeats carry
 // the count).
 func (a *Agent) NoteReconnect() {
-	a.reconnects.Add(1)
-	if m := a.meters.Load(); m != nil {
-		m.reconnects.Inc()
-	}
+	a.ctr[mReconnects].Inc()
 }
 
 // Stats returns the agent's activity counters.
 func (a *Agent) Stats() Stats {
-	rawsDropped := a.rawsDroppedRetired.Load()
-	groupsOverflowed := a.groupsOverflowedRetired.Load()
+	v := a.read()
+	return Stats{
+		TuplesEmitted:        v[mTuples],
+		RowsReported:         v[mRows],
+		Reports:              v[mReports],
+		Batches:              v[mBatches],
+		ReportsRetained:      v[mRetained],
+		ReportsReplayed:      v[mReplayed],
+		ReportsDropped:       v[mDropped],
+		Reconnects:           v[mReconnects],
+		LeasesExpired:        v[mExpired],
+		Quarantines:          v[mQuarantines],
+		RawsDropped:          v[mRawsDropped],
+		GroupsOverflowed:     v[mGroupsOverflowed],
+		BaggageGroupsDropped: v[mBagGroups],
+		BaggageTuplesDropped: v[mBagTuples],
+		BaggageBytesDropped:  v[mBagBytes],
+		SpansCaptured:        v[mSpansCaptured],
+		SpansDropped:         v[mSpansDropped],
+		SpanBatches:          v[mSpanBatches],
+		SampledOut:           v[mSampledOut],
+		SampleRateMilli:      v[mSampleRate],
+	}
+}
+
+// read samples every agent metric, indexed like MetricNames.
+func (a *Agent) read() (v [numMetrics]int64) {
+	for i := range a.ctr {
+		v[i] = a.ctr[i].Load()
+	}
+	v[mRawsDropped] = a.rawsDroppedRetired.Load()
+	v[mGroupsOverflowed] = a.groupsOverflowedRetired.Load()
 	a.mu.Lock()
 	for _, qs := range a.queries {
 		if acc := qs.acc.Load(); acc != nil {
-			rawsDropped += acc.RawsDropped()
-			groupsOverflowed += acc.GroupsOverflowed()
+			v[mRawsDropped] += acc.RawsDropped()
+			v[mGroupsOverflowed] += acc.GroupsOverflowed()
 		}
 	}
 	a.mu.Unlock()
-	s := Stats{
-		TuplesEmitted:        a.tuplesEmitted.Load(),
-		RowsReported:         a.rowsReported.Load(),
-		Reports:              a.reports.Load(),
-		Batches:              a.batches.Load(),
-		ReportsRetained:      a.reportsRetained.Load(),
-		ReportsReplayed:      a.reportsReplayed.Load(),
-		ReportsDropped:       a.reportsDropped.Load(),
-		Reconnects:           a.reconnects.Load(),
-		LeasesExpired:        a.leasesExpired.Load(),
-		Quarantines:          a.quarantines.Load(),
-		RawsDropped:          rawsDropped,
-		GroupsOverflowed:     groupsOverflowed,
-		BaggageGroupsDropped: a.baggageGroupsDropped.Load(),
-		BaggageTuplesDropped: a.baggageTuplesDropped.Load(),
-		BaggageBytesDropped:  a.baggageBytesDropped.Load(),
-		SpanBatches:          a.spanBatches.Load(),
-		SampledOut:           a.sampledOut.Load(),
-		SampleRateMilli:      a.sampler.MinEffectiveMilli(),
-	}
 	if rec := a.recorder.Load(); rec != nil {
-		s.SpansCaptured = rec.Captured()
-		s.SpansDropped = rec.Dropped()
+		v[mSpansCaptured] = rec.Captured()
+		v[mSpansDropped] = rec.Dropped()
 	}
-	return s
+	v[mSampleRate] = a.sampler.MinEffectiveMilli()
+	return v
 }
 
 // Close unsubscribes the agent from the control topic and unweaves all

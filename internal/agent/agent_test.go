@@ -10,6 +10,7 @@ import (
 	"repro/internal/baggage"
 	"repro/internal/bus"
 	"repro/internal/simtime"
+	"repro/internal/telemetry"
 	"repro/internal/tracepoint"
 	"repro/internal/tuple"
 )
@@ -326,8 +327,29 @@ func TestNoteReconnectCountsIntoStatsAndHeartbeat(t *testing.T) {
 	a.NoteReconnect()
 	a.NoteReconnect()
 	a.Flush()
-	if hb.Stats.Reconnects != 2 {
-		t.Errorf("heartbeat reconnects = %d, want 2", hb.Stats.Reconnects)
+	if got := hb.Metric("agent.reconnects"); got != 2 {
+		t.Errorf("heartbeat reconnects = %d, want 2", got)
+	}
+}
+
+// TestSetTelemetryExportsTheAgentsCounters: the registry shows the
+// agent's own counters, so counts from before SetTelemetry are included,
+// and every counter appears under its metric name.
+func TestSetTelemetryExportsTheAgentsCounters(t *testing.T) {
+	a := newIdleAgent()
+	defer a.Close()
+	a.NoteReconnect()
+	tel := telemetry.NewRegistry()
+	a.SetTelemetry(tel)
+	a.NoteReconnect()
+	snap := tel.Snapshot()
+	if got := snap.Counters["agent.reconnects"]; got != 2 {
+		t.Errorf("agent.reconnects = %d, want 2 (a total since the agent started)", got)
+	}
+	for _, name := range MetricNames[:numCounters] {
+		if _, ok := snap.Counters[name]; !ok {
+			t.Errorf("counter %s not exported", name)
+		}
 	}
 }
 

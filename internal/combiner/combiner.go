@@ -319,14 +319,23 @@ func (c *Combiner) Flush() {
 		Time:     c.now(),
 		Interval: c.cfg.Interval,
 		Queries:  len(reports),
-		Stats:    c.Stats(),
+		Names:    MetricNames,
+		Values: []int64{c.rowsOut.Load(), c.reportsOut.Load(), c.framesOut.Load(),
+			c.reportsMerged.Load(), c.framesOut.Load()},
 	})
 }
 
-// Stats returns the tier's accounting in the agents' Stats shape, as
-// heartbeated: reports/rows/frames forwarded upstream plus the combiner
-// counters. Everything merged in is either forwarded or still pending —
-// Pending() closes the ledger.
+// MetricNames names a tier's heartbeat values. Upstream, a combiner is an
+// agent, so its forward counters take the agent metric names; the frame
+// count also goes out as combiner.frames.out, beside the merge count, so
+// the status table tells tiers from agents.
+var MetricNames = []string{"agent.rows", "agent.reports", "agent.batches",
+	"combiner.reports.merged", "combiner.frames.out"}
+
+// Stats returns the tier's heartbeat metrics in the agents' Stats shape:
+// reports/rows/frames forwarded upstream plus the combiner counters.
+// Everything merged in is either forwarded or still pending — Pending()
+// closes the ledger.
 func (c *Combiner) Stats() agent.Stats {
 	return agent.Stats{
 		RowsReported:          c.rowsOut.Load(),

@@ -254,7 +254,7 @@ func TestCombinerMergesAndForwards(t *testing.T) {
 	if st.Reports != 2 || st.RowsReported != 2 {
 		t.Errorf("Reports/RowsReported = %d/%d, want 2/2", st.Reports, st.RowsReported)
 	}
-	if len(beats) != 1 || beats[0].Stats.CombinerReportsMerged != 3 {
+	if len(beats) != 1 || beats[0].Metric("combiner.reports.merged") != 3 {
 		t.Errorf("heartbeat missing combiner accounting: %+v", beats)
 	}
 	if c.Pending() != 0 {

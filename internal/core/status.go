@@ -28,15 +28,12 @@ type agentHealth struct {
 	usage []agent.TenantQuota // latest per-tenant quota usage, if any
 }
 
-// AgentHealth is one agent's health as judged by the frontend.
+// AgentHealth is one agent's health as judged by the frontend: its latest
+// heartbeat (identity, interval, queries, and metrics by name) plus age.
 type AgentHealth struct {
-	Host     string
-	ProcName string
-	Interval time.Duration
-	Age      time.Duration // now - last heartbeat time
-	Healthy  bool          // Age <= StaleAfterIntervals * Interval
-	Queries  int
-	Stats    agent.Stats
+	agent.Heartbeat
+	Age     time.Duration // now - last heartbeat time
+	Healthy bool          // Age <= StaleAfterIntervals * Interval
 }
 
 // QueryStatus is one installed query's progress and cost.
@@ -115,13 +112,9 @@ func (pt *PivotTracing) StatusAt(now time.Duration) Status {
 		hb := rec.hb
 		age := now - hb.Time
 		agents = append(agents, AgentHealth{
-			Host:     hb.Host,
-			ProcName: hb.ProcName,
-			Interval: hb.Interval,
-			Age:      age,
-			Healthy:  age >= 0 && age <= StaleAfterIntervals*hb.Interval,
-			Queries:  hb.Queries,
-			Stats:    hb.Stats,
+			Heartbeat: hb,
+			Age:       age,
+			Healthy:   age >= 0 && age <= StaleAfterIntervals*hb.Interval,
 		})
 		for _, u := range rec.usage {
 			ts := byTenant[u.Tenant]
@@ -192,40 +185,31 @@ func (pt *PivotTracing) StatusAt(now time.Duration) Status {
 // StatusText renders the wall-clock status (see RenderStatus).
 func (pt *PivotTracing) StatusText() string { return RenderStatus(pt.Status()) }
 
-// statColumns is the audit trail from agent.Stats field to the ptstat
-// agent-table column that surfaces it. An empty column is a deliberate
-// "no column" decision and must carry a reason. The companion test
-// reflects over agent.Stats and fails when the heartbeat grows a counter
-// with no entry here, so every new field forces an explicit render
-// decision instead of silently never reaching operators.
-var statColumns = map[string]string{
-	"TuplesEmitted": "tuples",
-	"RowsReported":  "rows",
-	"Reports":       "reports",
-	"Batches":       "batches",
-
-	"ReportsRetained": "", // transient buffer occupancy; replay/drops columns show the outcome
-	"ReportsReplayed": "replay",
-	"ReportsDropped":  "drops",
-	"Reconnects":      "reconn",
-
-	"LeasesExpired":        "expired",
-	"Quarantines":          "quarant",
-	"RawsDropped":          "rawdrop",
-	"GroupsOverflowed":     "ovflow",
-	"BaggageGroupsDropped": "", // bagdrop (bytes) is the representative eviction figure
-	"BaggageTuplesDropped": "", // bagdrop (bytes) is the representative eviction figure
-	"BaggageBytesDropped":  "bagdrop",
-
-	"SpansCaptured": "spans",
-	"SpansDropped":  "spandrop",
-	"SpanBatches":   "", // framing detail; spans/spandrop carry the signal
-
-	"CombinerReportsMerged": "cmerged",
-	"CombinerFramesOut":     "cfwd",
-
-	"SampledOut":      "smplout",
-	"SampleRateMilli": "srate",
+// agentColumns are the ptstat agent-table columns after the identity,
+// health and queries columns: each shows one heartbeat metric, by name, so
+// a metric a beat does not carry renders as 0.
+var agentColumns = []struct {
+	header, metric string
+	width          int
+}{
+	{"reports", "agent.reports", 9},
+	{"batches", "agent.batches", 7},
+	{"rows", "agent.rows", 9},
+	{"tuples", "agent.tuples", 9},
+	{"reconn", "agent.reconnects", 7},
+	{"replay", "agent.reports.replayed", 7},
+	{"drops", "agent.reports.dropped", 7},
+	{"expired", "agent.leases.expired", 7},
+	{"quarant", "agent.quarantines", 7},
+	{"rawdrop", "agent.raws.dropped", 7},
+	{"ovflow", "agent.groups.overflowed", 7},
+	{"bagdrop", "agent.baggage.dropped.bytes", 8},
+	{"spans", "agent.spans.captured", 8},
+	{"spandrop", "agent.spans.dropped", 8},
+	{"cmerged", "combiner.reports.merged", 8},
+	{"cfwd", "combiner.frames.out", 7},
+	{"smplout", "agent.sampled.out", 7},
+	{"srate", "agent.sample.rate.milli", 5},
 }
 
 // RenderStatus formats a Status as the aligned tables cmd/ptstat prints:
@@ -234,26 +218,24 @@ var statColumns = map[string]string{
 func RenderStatus(s Status) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "agents (%d):\n", len(s.Agents))
-	fmt.Fprintf(&b, "  %-24s %-12s %10s %10s %-9s %7s %9s %7s %9s %9s %7s %7s %7s %7s %7s %7s %7s %8s %8s %8s %8s %7s %7s %5s\n",
-		"host", "proc", "age", "interval", "health", "queries", "reports", "batches",
-		"rows", "tuples", "reconn", "replay", "drops", "expired", "quarant",
-		"rawdrop", "ovflow", "bagdrop", "spans", "spandrop", "cmerged", "cfwd",
-		"smplout", "srate")
+	fmt.Fprintf(&b, "  %-24s %-12s %10s %10s %-9s %7s",
+		"host", "proc", "age", "interval", "health", "queries")
+	for _, c := range agentColumns {
+		fmt.Fprintf(&b, " %*s", c.width, c.header)
+	}
+	b.WriteByte('\n')
 	for _, a := range s.Agents {
 		health := "ok"
 		if !a.Healthy {
 			health = "UNHEALTHY"
 		}
-		fmt.Fprintf(&b, "  %-24s %-12s %10s %10s %-9s %7d %9d %7d %9d %9d %7d %7d %7d %7d %7d %7d %7d %8d %8d %8d %8d %7d %7d %5d\n",
+		fmt.Fprintf(&b, "  %-24s %-12s %10s %10s %-9s %7d",
 			a.Host, a.ProcName,
-			a.Age.Round(time.Millisecond), a.Interval, health, a.Queries,
-			a.Stats.Reports, a.Stats.Batches, a.Stats.RowsReported, a.Stats.TuplesEmitted,
-			a.Stats.Reconnects, a.Stats.ReportsReplayed, a.Stats.ReportsDropped,
-			a.Stats.LeasesExpired, a.Stats.Quarantines,
-			a.Stats.RawsDropped, a.Stats.GroupsOverflowed, a.Stats.BaggageBytesDropped,
-			a.Stats.SpansCaptured, a.Stats.SpansDropped,
-			a.Stats.CombinerReportsMerged, a.Stats.CombinerFramesOut,
-			a.Stats.SampledOut, a.Stats.SampleRateMilli)
+			a.Age.Round(time.Millisecond), a.Interval, health, a.Queries)
+		for _, c := range agentColumns {
+			fmt.Fprintf(&b, " %*d", c.width, a.Metric(c.metric))
+		}
+		b.WriteByte('\n')
 	}
 	fmt.Fprintf(&b, "\nqueries (%d):\n", len(s.Queries))
 	fmt.Fprintf(&b, "  %-16s %8s %9s %14s %12s %9s %9s %8s %8s\n",

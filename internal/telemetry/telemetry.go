@@ -209,6 +209,22 @@ func (r *Registry) Gauge(name string) *Gauge {
 	return g
 }
 
+// AddCounter exports a counter its owner already keeps under name,
+// replacing any counter of that name, so a component that counts without
+// a registry needs no second copy of its counters once one is attached.
+func (r *Registry) AddCounter(name string, c *Counter) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	r.counters[name] = c
+}
+
+// AddGauge is AddCounter for a gauge.
+func (r *Registry) AddGauge(name string, g *Gauge) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	r.gauges[name] = g
+}
+
 // Histogram returns the named histogram, creating it if needed.
 func (r *Registry) Histogram(name string) *Histogram {
 	r.mu.Lock()

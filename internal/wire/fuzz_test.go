@@ -91,17 +91,26 @@ func messageSeeds(t testing.TB) map[string][]byte {
 		}),
 		"heartbeat": mustMarshal(agent.Heartbeat{
 			Host: "h", ProcName: "p", Time: time.Second, Interval: time.Second, Queries: 1,
+			Names: agent.MetricNames, Values: make([]int64, len(agent.MetricNames)),
 		}),
-		// A combiner-tier heartbeat: the merge/forward counters ride the
-		// same frame as agent heartbeats.
+		// A combiner-tier heartbeat: the tier's merge/forward counters as
+		// named metrics.
 		"combiner-heartbeat": mustMarshal(agent.Heartbeat{
 			Host: "combiners", ProcName: "combiner-mid-0",
 			Time: 2 * time.Second, Interval: time.Second,
-			Stats: agent.Stats{
-				RowsReported: 12, Reports: 3, Batches: 2,
-				CombinerReportsMerged: 9, CombinerFramesOut: 2,
-			},
+			Names: []string{"agent.rows", "agent.reports", "agent.batches",
+				"combiner.reports.merged", "combiner.frames.out"},
+			Values: []int64{12, 3, 2, 9, 2},
 		}),
+		// Hostile metric tables. A pair count of 2^62, and one larger than
+		// the pairs present, must fail without allocating for the claim; a
+		// name cut short fails; empty and duplicated names decode (lookups
+		// take the first match) and re-encode unchanged.
+		"heartbeat-huge-pairs":      heartbeatPairs(0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x40, 0x01, 'x', 0x02),
+		"heartbeat-short-pairs":     heartbeatPairs(0x03, 0x01, 'a', 0x02, 0x02, 'b', 'c', 0x04),
+		"heartbeat-truncated-name":  heartbeatPairs(0x01, 0x0a, 'a', 'g', 'e'),
+		"heartbeat-empty-name":      heartbeatPairs(0x01, 0x00, 0x04),
+		"heartbeat-duplicated-name": mustMarshal(agent.Heartbeat{Names: []string{"agent.reports", "agent.reports"}, Values: []int64{1, 2}}),
 		"tenant-usage": mustMarshal(agent.TenantUsage{
 			Host: "h", ProcName: "p", Time: 3 * time.Second,
 			Usage: []agent.TenantQuota{
@@ -169,6 +178,12 @@ func messageSeeds(t testing.TB) map[string][]byte {
 		// TenantUsage claiming 2^28 quota entries in a one-byte body.
 		"huge-usage": {TagTenantUsage, 0x01, 'h', 0x01, 'p', 0x02, 0xff, 0xff, 0xff, 0x7f, 0x00},
 	}
+}
+
+// heartbeatPairs is a heartbeat frame (host "h", proc "p", time,
+// interval and queries 1) whose metric table is the given raw bytes.
+func heartbeatPairs(table ...byte) []byte {
+	return append([]byte{TagHeartbeat, 0x01, 'h', 0x01, 'p', 0x02, 0x02, 0x02}, table...)
 }
 
 // exprSeeds encodes a deeply nested expression plus malformed shapes.
@@ -242,4 +257,26 @@ func FuzzDecodeExpr(f *testing.F) {
 func TestRegenWireFuzzCorpus(t *testing.T) {
 	randtest.RegenCorpus(t, "FuzzUnmarshal", messageSeeds(t))
 	randtest.RegenCorpus(t, "FuzzDecodeExpr", exprSeeds(t))
+}
+
+// TestHeartbeatHostileMetricTables pins how the decoder treats the hostile
+// metric-table seeds: impossible pair counts and cut-short names are
+// rejected; empty and duplicated names decode intact.
+func TestHeartbeatHostileMetricTables(t *testing.T) {
+	seeds := messageSeeds(t)
+	for name, wantErr := range map[string]bool{
+		"heartbeat-huge-pairs":      true,
+		"heartbeat-short-pairs":     true,
+		"heartbeat-truncated-name":  true,
+		"heartbeat-empty-name":      false,
+		"heartbeat-duplicated-name": false,
+	} {
+		if _, err := Unmarshal(seeds[name]); (err != nil) != wantErr {
+			t.Errorf("%s: err = %v, want error %v", name, err, wantErr)
+		}
+	}
+	dup, _ := Unmarshal(seeds["heartbeat-duplicated-name"])
+	if got := dup.(agent.Heartbeat).Metric("agent.reports"); got != 1 {
+		t.Errorf("duplicated name lookup = %d, want the first value 1", got)
+	}
 }

@@ -527,10 +527,6 @@ const (
 	TagTenantUsage    = 12
 )
 
-// heartbeatInts is how many varints a Heartbeat carries after its two
-// strings: Time, Interval, Queries, then every Stats field in order.
-const heartbeatInts = 25
-
 // opStatsInts is how many varints one OpStats carries after its tracepoint
 // name: every counter field in declaration order.
 const opStatsInts = 12
@@ -751,28 +747,11 @@ func Marshal(msg any) ([]byte, error) {
 		buf = binary.AppendVarint(buf, int64(m.Time))
 		buf = binary.AppendVarint(buf, int64(m.Interval))
 		buf = binary.AppendVarint(buf, int64(m.Queries))
-		buf = binary.AppendVarint(buf, m.Stats.TuplesEmitted)
-		buf = binary.AppendVarint(buf, m.Stats.RowsReported)
-		buf = binary.AppendVarint(buf, m.Stats.Reports)
-		buf = binary.AppendVarint(buf, m.Stats.Batches)
-		buf = binary.AppendVarint(buf, m.Stats.ReportsRetained)
-		buf = binary.AppendVarint(buf, m.Stats.ReportsReplayed)
-		buf = binary.AppendVarint(buf, m.Stats.ReportsDropped)
-		buf = binary.AppendVarint(buf, m.Stats.Reconnects)
-		buf = binary.AppendVarint(buf, m.Stats.LeasesExpired)
-		buf = binary.AppendVarint(buf, m.Stats.Quarantines)
-		buf = binary.AppendVarint(buf, m.Stats.RawsDropped)
-		buf = binary.AppendVarint(buf, m.Stats.GroupsOverflowed)
-		buf = binary.AppendVarint(buf, m.Stats.BaggageGroupsDropped)
-		buf = binary.AppendVarint(buf, m.Stats.BaggageTuplesDropped)
-		buf = binary.AppendVarint(buf, m.Stats.BaggageBytesDropped)
-		buf = binary.AppendVarint(buf, m.Stats.SpansCaptured)
-		buf = binary.AppendVarint(buf, m.Stats.SpansDropped)
-		buf = binary.AppendVarint(buf, m.Stats.SpanBatches)
-		buf = binary.AppendVarint(buf, m.Stats.CombinerReportsMerged)
-		buf = binary.AppendVarint(buf, m.Stats.CombinerFramesOut)
-		buf = binary.AppendVarint(buf, m.Stats.SampledOut)
-		buf = binary.AppendVarint(buf, m.Stats.SampleRateMilli)
+		buf = binary.AppendUvarint(buf, uint64(len(m.Names)))
+		for i, name := range m.Names {
+			buf = appendString(buf, name)
+			buf = binary.AppendVarint(buf, m.Values[i])
+		}
 		return buf, nil
 	case agent.StatusRequest:
 		buf := []byte{TagStatusRequest}
@@ -936,30 +915,40 @@ func Unmarshal(buf []byte) (any, error) {
 		if m.ProcName, buf, err = decodeString(buf); err != nil {
 			return nil, err
 		}
-		ints := [heartbeatInts]int64{}
-		for i := range ints {
+		var hdr [3]int64
+		for i := range hdr {
 			v, k := binary.Varint(buf)
 			if k <= 0 {
 				return nil, errTruncated
 			}
-			ints[i] = v
+			hdr[i] = v
 			buf = buf[k:]
 		}
-		m.Time = time.Duration(ints[0])
-		m.Interval = time.Duration(ints[1])
-		m.Queries = int(ints[2])
-		m.Stats = agent.Stats{
-			TuplesEmitted: ints[3], RowsReported: ints[4], Reports: ints[5],
-			Batches:         ints[6],
-			ReportsRetained: ints[7], ReportsReplayed: ints[8],
-			ReportsDropped: ints[9], Reconnects: ints[10],
-			LeasesExpired: ints[11], Quarantines: ints[12],
-			RawsDropped: ints[13], GroupsOverflowed: ints[14],
-			BaggageGroupsDropped: ints[15], BaggageTuplesDropped: ints[16],
-			BaggageBytesDropped: ints[17],
-			SpansCaptured:       ints[18], SpansDropped: ints[19], SpanBatches: ints[20],
-			CombinerReportsMerged: ints[21], CombinerFramesOut: ints[22],
-			SampledOut: ints[23], SampleRateMilli: ints[24],
+		m.Time = time.Duration(hdr[0])
+		m.Interval = time.Duration(hdr[1])
+		m.Queries = int(hdr[2])
+		n, k := binary.Uvarint(buf)
+		if k <= 0 {
+			return nil, errTruncated
+		}
+		buf = buf[k:]
+		// A pair takes at least two bytes (name length, value), so a count
+		// the remaining bytes cannot hold is rejected before allocating.
+		if n > uint64(len(buf)/2) {
+			return nil, errTruncated
+		}
+		m.Names = make([]string, n)
+		m.Values = make([]int64, n)
+		for i := range m.Names {
+			if m.Names[i], buf, err = decodeString(buf); err != nil {
+				return nil, err
+			}
+			v, k := binary.Varint(buf)
+			if k <= 0 {
+				return nil, errTruncated
+			}
+			m.Values[i] = v
+			buf = buf[k:]
 		}
 		return m, nil
 	case TagStatusRequest:

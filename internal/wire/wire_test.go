@@ -3,6 +3,7 @@ package wire
 import (
 	"context"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -210,7 +211,7 @@ func TestMessageCodecRoundtrip(t *testing.T) {
 // TestGovernanceCodecRoundtrip covers the safety-valve additions to the
 // wire format: install leases and accumulator limits, per-program safety
 // bounds, lease renewals, quarantine notices, report drop records, and
-// the governance counters in heartbeat stats.
+// the named metrics heartbeats carry.
 func TestGovernanceCodecRoundtrip(t *testing.T) {
 	roundtrip := func(msg any) any {
 		t.Helper()
@@ -278,26 +279,53 @@ func TestGovernanceCodecRoundtrip(t *testing.T) {
 		t.Fatalf("report drops roundtrip = %+v", grep.Drops)
 	}
 
-	// Fill every Stats field with a distinct value via reflection so the
-	// test fails the moment a counter is added to agent.Stats without a
-	// matching wire encode/decode pair: the new field would round-trip to
-	// zero and the struct comparison below would catch it.
+	// Every agent metric round-trips under its name, in order.
 	hb := agent.Heartbeat{
 		Host: "h", ProcName: "p", Time: time.Second, Interval: time.Second, Queries: 2,
+		Names: agent.MetricNames, Values: make([]int64, len(agent.MetricNames)),
 	}
-	sv := reflect.ValueOf(&hb.Stats).Elem()
-	for i := 0; i < sv.NumField(); i++ {
-		sv.Field(i).SetInt(int64(i + 1))
+	for i := range hb.Values {
+		hb.Values[i] = int64(i + 1)
 	}
-	ghb := roundtrip(hb).(agent.Heartbeat)
-	if ghb.Stats != hb.Stats {
-		gv := reflect.ValueOf(ghb.Stats)
-		for i := 0; i < sv.NumField(); i++ {
-			if gv.Field(i).Int() != sv.Field(i).Int() {
-				t.Errorf("heartbeat stats field %s: got %d, want %d (missing wire codec support?)",
-					sv.Type().Field(i).Name, gv.Field(i).Int(), sv.Field(i).Int())
-			}
-		}
+	if ghb := roundtrip(hb).(agent.Heartbeat); !reflect.DeepEqual(ghb, hb) {
+		t.Errorf("heartbeat roundtrip = %+v, want %+v", ghb, hb)
+	}
+}
+
+// TestHeartbeatVersionSkew: a beat from an agent of another version —
+// carrying a metric this frontend does not know and lacking one it shows —
+// decodes and renders. The unknown name is ignored, the missing column
+// shows 0, and the agents table keeps every column.
+func TestHeartbeatVersionSkew(t *testing.T) {
+	buf, err := Marshal(agent.Heartbeat{
+		Host: "h", ProcName: "p", Interval: time.Second,
+		Names:  []string{"agent.reports", "agent.future.thing", "agent.rows"}, // no agent.tuples
+		Values: []int64{7, 424242, 5},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	msg, err := Unmarshal(buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := core.RenderStatus(core.Status{Agents: []core.AgentHealth{{Heartbeat: msg.(agent.Heartbeat), Healthy: true}}})
+	lines := strings.Split(out, "\n")
+	header, row := strings.Fields(lines[1]), strings.Fields(lines[2])
+	want := "host proc age interval health queries reports batches rows tuples reconn replay drops expired " +
+		"quarant rawdrop ovflow bagdrop spans spandrop cmerged cfwd smplout srate"
+	if got := strings.Join(header, " "); got != want || len(row) != len(header) {
+		t.Fatalf("agents table header/row:\n%s\n%s", lines[1], lines[2])
+	}
+	col := make(map[string]string, len(header))
+	for i, h := range header {
+		col[h] = row[i]
+	}
+	if col["reports"] != "7" || col["rows"] != "5" || col["tuples"] != "0" {
+		t.Errorf("reports/rows/tuples = %s/%s/%s, want 7/5/0", col["reports"], col["rows"], col["tuples"])
+	}
+	if strings.Contains(out, "424242") {
+		t.Errorf("unknown metric rendered:\n%s", out)
 	}
 }
 

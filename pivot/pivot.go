@@ -152,7 +152,9 @@ var serializeTP atomic.Pointer[tracepoint.Tracepoint]
 //   - attaches the frontend's telemetry registry to the tracepoint
 //     registry, the bus, the agent, and the process's baggage layer, so
 //     Status() includes hit/weave counters, per-topic message counts,
-//     report totals, and baggage serialization volume;
+//     report totals, and baggage serialization volume. The agent
+//     registers its own counters under agent.MetricNames, so they report
+//     totals since the agent started, not since this call;
 //
 //   - defines and arms the meta-tracepoints "agent.Report" (query, rows,
 //     tuples), "tracepoint.Weave" (name, query), and "baggage.Serialize"

@@ -145,7 +145,7 @@ func TestQueryConvergesAcrossBusOutageWithReplay(t *testing.T) {
 	})
 	waitFor(t, "heartbeat with reconnect count", func() bool {
 		for _, a := range frontend.Status().Agents {
-			if a.ProcName == "worker" && a.Stats.Reconnects >= 1 && a.Stats.ReportsReplayed == 3 {
+			if a.ProcName == "worker" && a.Metric("agent.reconnects") >= 1 && a.Metric("agent.reports.replayed") == 3 {
 				return true
 			}
 		}
@@ -309,7 +309,7 @@ func TestCombinerKillRehomesAndConservesTuples(t *testing.T) {
 	waitFor(t, "combiner heartbeat in frontend status", func() bool {
 		for _, a := range frontend.Status().Agents {
 			if a.Host == "ctier" && a.ProcName == "mid-1" &&
-				a.Stats.CombinerReportsMerged == 5 && a.Stats.CombinerFramesOut >= 1 {
+				a.Metric("combiner.reports.merged") == 5 && a.Metric("combiner.frames.out") >= 1 {
 				return true
 			}
 		}
