@@ -1,7 +1,8 @@
 GO ?= go
 FUZZTIME ?= 5s
+W ?= sim-limplock
 
-.PHONY: check fmt vet build test race bench bench-gate stress fuzz-smoke coverage differential combiner safety sampling scenarios scenarios-short
+.PHONY: check fmt vet build test race bench bench-gate stress fuzz-smoke coverage differential combiner safety sampling scenarios scenarios-short simprof
 
 check: fmt vet build race fuzz-smoke sampling
 
@@ -72,6 +73,14 @@ scenarios-short:
 # acceptance run (about half a minute of wall time).
 scenarios:
 	$(GO) run ./cmd/ptbench -all
+
+# CPU profile of one perfbench workload (W=sim-herd, W=live-join, ...):
+# a traced 15 s run at seed 1, whose last execution runs under the
+# profiler, then the 25 hottest functions. The profile stays at
+# .bench_build/perfbench/$(W)-seed1.cpu.pprof for `go tool pprof`.
+simprof:
+	bash perfbench/run.sh --workload $(W) --seed 1 --seconds 15 --trace 1
+	$(GO) tool pprof -top -nodecount=25 .bench_build/perfbench/$(W)-seed1.cpu.pprof
 
 # The differential query-correctness sweeps (plain and budgeted) under
 # the race detector, in both topologies: flat agent→frontend merge and

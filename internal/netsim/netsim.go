@@ -15,6 +15,7 @@ package netsim
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sync"
 	"time"
 
@@ -27,7 +28,7 @@ type Link struct {
 
 	rate   float64 // bytes per second
 	served float64 // cumulative bytes served through this link
-	active int     // flows currently crossing this link
+	flows  []*flow // active flows crossing this link
 
 	// scratch state for the water-filling computation
 	remCap   float64
@@ -40,10 +41,9 @@ type Network struct {
 	env  *simtime.Env
 	mu   sync.Mutex
 	wake *simtime.Cond // engine wakeup: new flow or rate change
-	done *simtime.Cond // broadcast on flow completions
 
 	links map[string]*Link
-	flows map[*flow]struct{}
+	flows []*flow // active flows, in arrival order
 
 	lastUpdate time.Duration
 	running    bool
@@ -67,6 +67,8 @@ type flow struct {
 	rate      float64
 	links     []*Link
 	finished  bool
+	frozen    bool          // rate fixed in the current water-filling round
+	done      *simtime.Cond // signaled once, when the flow finishes
 }
 
 // New creates an empty network bound to the simulation environment.
@@ -74,10 +76,8 @@ func New(env *simtime.Env) *Network {
 	n := &Network{
 		env:   env,
 		links: make(map[string]*Link),
-		flows: make(map[*flow]struct{}),
 	}
 	n.wake = env.NewCond(&n.mu)
-	n.done = env.NewCond(&n.mu)
 	return n
 }
 
@@ -187,10 +187,13 @@ func (n *Network) Flow(size float64, links ...*Link) {
 		n.env.Sleep(time.Duration(size / rate * float64(time.Second)))
 		return
 	}
-	f := &flow{remaining: size, links: links}
+	// Deferred because a run that ends while this caller waits exits the
+	// goroutine from inside Wait with n.mu held (see simtime.Env.Run).
+	defer n.mu.Unlock()
+	f := &flow{remaining: size, links: links, done: n.env.NewCond(&n.mu)}
 	n.ensureEngineLocked()
 	n.settleLocked()
-	n.flows[f] = struct{}{}
+	n.flows = append(n.flows, f)
 	// A flow whose links carry no other traffic gets the bottleneck
 	// capacity outright; the fair shares of every other flow are
 	// unaffected, so the global reshare can be skipped. On a large
@@ -198,8 +201,8 @@ func (n *Network) Flow(size float64, links ...*Link) {
 	// links) water-filling into the rare case instead of the common one.
 	isolated := true
 	for _, l := range f.links {
-		l.active++
-		if l.active > 1 {
+		l.flows = append(l.flows, f)
+		if len(l.flows) > 1 {
 			isolated = false
 		}
 	}
@@ -216,10 +219,9 @@ func (n *Network) Flow(size float64, links ...*Link) {
 	}
 	n.wake.Signal()
 	for !f.finished {
-		n.done.Wait()
+		f.done.Wait()
 	}
 	n.servedBytes += size
-	n.mu.Unlock()
 }
 
 // ensureEngineLocked starts the completion engine on first use.
@@ -238,12 +240,8 @@ func (n *Network) engine() {
 	defer n.mu.Unlock()
 	for !n.env.Done() {
 		n.settleLocked()
-		completed, needReshare := n.completeLocked()
-		if completed > 0 {
-			if needReshare {
-				n.reshareLocked()
-			}
-			n.done.Broadcast()
+		if n.completeLocked() {
+			n.reshareLocked()
 		}
 		if len(n.flows) == 0 {
 			n.wake.Wait()
@@ -263,7 +261,7 @@ func (n *Network) settleLocked() {
 	if elapsed <= 0 {
 		return
 	}
-	for f := range n.flows {
+	for _, f := range n.flows {
 		progressed := f.rate * elapsed
 		f.remaining -= progressed
 		for _, l := range f.links {
@@ -272,32 +270,38 @@ func (n *Network) settleLocked() {
 	}
 }
 
-// completeLocked finishes flows whose bytes are fully served. It reports
-// whether any completed flow shared a link with still-active flows — only
-// then do the survivors' fair shares change and a reshare is needed.
-func (n *Network) completeLocked() (count int, needReshare bool) {
+// completeLocked finishes flows whose bytes are fully served, wakes only
+// their callers, and drops them from the active list and from their links'
+// lists. It reports whether any completed flow shared a link with other
+// flows — only then do the survivors' fair shares change and a reshare is
+// needed.
+func (n *Network) completeLocked() (needReshare bool) {
 	const eps = 1e-6
-	for f := range n.flows {
-		if f.remaining <= eps {
-			f.finished = true
-			delete(n.flows, f)
-			n.completedFlows++
-			count++
-			for _, l := range f.links {
-				l.active--
-				if l.active > 0 {
-					needReshare = true
-				}
+	live := n.flows[:0]
+	for _, f := range n.flows {
+		if f.remaining > eps {
+			live = append(live, f)
+			continue
+		}
+		f.finished = true
+		f.done.Signal()
+		n.completedFlows++
+		for _, l := range f.links {
+			l.flows = slices.DeleteFunc(l.flows, func(g *flow) bool { return g == f })
+			if len(l.flows) > 0 {
+				needReshare = true
 			}
 		}
 	}
-	return count, needReshare
+	clear(n.flows[len(live):])
+	n.flows = live
+	return needReshare
 }
 
 // nextCompletionLocked returns the time until the earliest flow finish.
 func (n *Network) nextCompletionLocked() time.Duration {
 	min := math.MaxFloat64
-	for f := range n.flows {
+	for _, f := range n.flows {
 		if f.rate <= 0 {
 			continue
 		}
@@ -317,59 +321,59 @@ func (n *Network) nextCompletionLocked() time.Duration {
 }
 
 // reshareLocked recomputes max-min fair rates for all active flows by
-// water-filling: repeatedly find the most-constrained link, freeze its flows
-// at the fair share, subtract their demand, and recurse. Only links that
-// active flows actually cross participate — on a 1000-host topology with a
+// water-filling: repeatedly find the most-constrained link, freeze its
+// unfrozen flows at the fair share, subtract their demand from the other
+// links they cross, and repeat. Each link keeps the flows crossing it, so a
+// round touches only the bottleneck's flows, and a link drops out of the
+// bottleneck search once all its flows are frozen. Only links that active
+// flows actually cross participate — on a 1000-host topology with a
 // handful of concurrent transfers the thousands of idle host links cost
 // nothing.
 func (n *Network) reshareLocked() {
 	links := n.scratchLinks[:0]
-	unfrozen := make(map[*flow]struct{}, len(n.flows))
-	for f := range n.flows {
+	for _, f := range n.flows {
 		f.rate = 0
-		unfrozen[f] = struct{}{}
+		f.frozen = false
 		for _, l := range f.links {
 			if !l.touched {
 				l.touched = true
 				l.remCap = l.rate
-				l.unfrozen = 0
+				l.unfrozen = len(l.flows)
 				links = append(links, l)
 			}
-			l.unfrozen++
 		}
 	}
-	for len(unfrozen) > 0 {
+	for unfrozen := len(n.flows); unfrozen > 0; {
 		// Find the bottleneck link: minimum fair share among links with
-		// unfrozen flows.
+		// unfrozen flows. Links whose flows are all frozen leave the
+		// search for the rest of this reshare.
 		var bottleneck *Link
 		share := math.MaxFloat64
+		open := links[:0]
 		for _, l := range links {
 			if l.unfrozen == 0 {
+				l.touched = false
 				continue
 			}
+			open = append(open, l)
 			s := l.remCap / float64(l.unfrozen)
 			if s < share {
 				share = s
 				bottleneck = l
 			}
 		}
+		links = open
 		if bottleneck == nil {
 			break
 		}
 		// Freeze every unfrozen flow crossing the bottleneck at the share.
-		for f := range unfrozen {
-			crosses := false
-			for _, l := range f.links {
-				if l == bottleneck {
-					crosses = true
-					break
-				}
-			}
-			if !crosses {
+		for _, f := range bottleneck.flows {
+			if f.frozen {
 				continue
 			}
 			f.rate = share
-			delete(unfrozen, f)
+			f.frozen = true
+			unfrozen--
 			for _, l := range f.links {
 				l.remCap -= share
 				if l.remCap < 0 {

@@ -1,12 +1,16 @@
 package netsim
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
+	"sort"
 	"testing"
 	"testing/quick"
 	"time"
 
+	"repro/internal/randtest"
 	"repro/internal/simtime"
 )
 
@@ -293,4 +297,188 @@ func TestLinkServedTracksProgressMidFlow(t *testing.T) {
 			t.Fatal("unknown link should serve 0")
 		}
 	})
+}
+
+// referenceRates is the original map-based water-filling, kept as an
+// oracle for reshareLocked: repeatedly find the link with the smallest
+// fair share among its unfrozen flows, freeze those flows at that share,
+// and subtract it from every link they cross.
+func referenceRates(flows []*flow) map[*flow]float64 {
+	rates := make(map[*flow]float64, len(flows))
+	unfrozen := make(map[*flow]struct{}, len(flows))
+	remCap := make(map[*Link]float64)
+	count := make(map[*Link]int)
+	for _, f := range flows {
+		rates[f] = 0
+		unfrozen[f] = struct{}{}
+		for _, l := range f.links {
+			remCap[l] = l.rate
+			count[l]++
+		}
+	}
+	for len(unfrozen) > 0 {
+		var bottleneck *Link
+		share := math.MaxFloat64
+		for l, c := range count {
+			if c == 0 {
+				continue
+			}
+			if s := remCap[l] / float64(c); s < share {
+				share = s
+				bottleneck = l
+			}
+		}
+		if bottleneck == nil {
+			break
+		}
+		for f := range unfrozen {
+			crosses := false
+			for _, l := range f.links {
+				if l == bottleneck {
+					crosses = true
+					break
+				}
+			}
+			if !crosses {
+				continue
+			}
+			rates[f] = share
+			delete(unfrozen, f)
+			for _, l := range f.links {
+				remCap[l] = math.Max(remCap[l]-share, 0)
+				count[l]--
+			}
+		}
+	}
+	return rates
+}
+
+// checkRatesLocked compares every active flow's rate with the reference
+// water-filling and checks that no link is oversubscribed. Caller holds
+// n.mu.
+func checkRatesLocked(n *Network) error {
+	const tol = 1e-9
+	want := referenceRates(n.flows)
+	load := make(map[*Link]float64)
+	for i, f := range n.flows {
+		if w := want[f]; math.Abs(f.rate-w) > tol*w {
+			return fmt.Errorf("t=%v flow %d over %d links: rate %v, reference %v", n.env.Now(), i, len(f.links), f.rate, w)
+		}
+		for _, l := range f.links {
+			load[l] += f.rate
+		}
+	}
+	for l, sum := range load {
+		if sum > l.rate*(1+tol) {
+			return fmt.Errorf("t=%v link %s carries %v over capacity %v", n.env.Now(), l.Name, sum, l.rate)
+		}
+	}
+	return nil
+}
+
+// TestWaterFillingMatchesReference drives seeded random topologies — up to
+// 64 links, up to 300 flows of 1–4 links each, and runtime rate changes —
+// through the real Network, and after every arrival, completion and rate
+// change checks each flow's rate against referenceRates.
+func TestWaterFillingMatchesReference(t *testing.T) {
+	randtest.Check(t, 24, 9100, func(seed int64) error {
+		rng := rand.New(rand.NewSource(seed))
+		env := simtime.NewEnv()
+		var err error
+		env.Run(func() {
+			n := New(env)
+			links := make([]*Link, 1+rng.Intn(64))
+			for i := range links {
+				links[i] = n.AddLink(fmt.Sprintf("l%d", i), float64(100+rng.Intn(10000)))
+			}
+			type event struct {
+				at   time.Duration
+				size float64
+				path []*Link
+				link string  // rate change when size == 0
+				rate float64 // new rate for link
+			}
+			var events []event
+			for i := 1 + rng.Intn(300); i > 0; i-- {
+				var path []*Link
+				for _, j := range rng.Perm(len(links))[:1+rng.Intn(min(4, len(links)))] {
+					path = append(path, links[j])
+				}
+				events = append(events, event{
+					at:   time.Duration(rng.Intn(10000)) * time.Millisecond,
+					size: float64(1 + rng.Intn(20000)),
+					path: path,
+				})
+			}
+			for i := rng.Intn(30); i > 0; i-- {
+				events = append(events, event{
+					at:   time.Duration(rng.Intn(10000)) * time.Millisecond,
+					link: links[rng.Intn(len(links))].Name,
+					rate: float64(10 + rng.Intn(10000)),
+				})
+			}
+			sort.Slice(events, func(i, j int) bool { return events[i].at < events[j].at })
+			for {
+				n.mu.Lock()
+				n.settleLocked()
+				err = checkRatesLocked(n)
+				next := time.Duration(math.MaxInt64)
+				if len(n.flows) > 0 {
+					next = n.nextCompletionLocked()
+				}
+				n.mu.Unlock()
+				if err != nil || (len(events) == 0 && next == math.MaxInt64) {
+					return
+				}
+				if len(events) > 0 {
+					next = min(next, events[0].at-env.Now())
+				}
+				env.Sleep(next)
+				for len(events) > 0 && events[0].at <= env.Now() {
+					ev := events[0]
+					events = events[1:]
+					if ev.size == 0 {
+						n.SetRate(ev.link, ev.rate)
+					} else {
+						env.Go(func() { n.Flow(ev.size, ev.path...) })
+					}
+				}
+				env.Sleep(0) // let new flows register and the engine settle
+			}
+		})
+		return err
+	})
+}
+
+// TestStaggeredFlowsAllocateLinearly guards against waking every blocked
+// Flow caller on each completion: N staggered flows sharing one link must
+// allocate O(N), not O(N²), so quadrupling N may at most ~quadruple the
+// allocation count.
+func TestStaggeredFlowsAllocateLinearly(t *testing.T) {
+	mallocs := func(flows int) uint64 {
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		env := simtime.NewEnv()
+		env.Run(func() {
+			n := New(env)
+			l := n.AddLink("l", 1e6)
+			wg := env.NewWaitGroup()
+			for i := 0; i < flows; i++ {
+				wg.Add(1)
+				env.Go(func() {
+					defer wg.Done()
+					env.Sleep(time.Duration(i) * time.Millisecond)
+					n.Flow(1e5, l)
+				})
+			}
+			wg.Wait()
+		})
+		runtime.ReadMemStats(&after)
+		return after.Mallocs - before.Mallocs
+	}
+	small, large := mallocs(64), mallocs(256)
+	if ratio := float64(large) / float64(small); ratio > 6 {
+		t.Fatalf("mallocs: %d for 64 flows, %d for 256 (ratio %.2f, want <= 6)", small, large, ratio)
+	}
 }

@@ -15,6 +15,7 @@ package simtime
 import (
 	"container/heap"
 	"fmt"
+	"runtime"
 	"sync"
 	"time"
 )
@@ -26,6 +27,7 @@ type Env struct {
 	now       time.Duration
 	seq       int64
 	timers    timerHeap
+	parked    []*waiter // managed goroutines blocked in block, for stopLocked
 	runnable  int
 	done      bool
 	rootDone  chan struct{}
@@ -59,8 +61,10 @@ type waiter struct {
 	wakeAt   time.Duration
 	seq      int64
 	heapIdx  int // index in the timer heap, -1 if not scheduled
+	parkIdx  int // index in Env.parked, -1 if not parked
 	fired    bool
 	timedOut bool
+	stopped  bool // woken by stopLocked: the parked goroutine must unwind
 }
 
 // timerHeap is a min-heap of waiters ordered by (wakeAt, seq).
@@ -95,7 +99,7 @@ func (h *timerHeap) Pop() any {
 
 func (e *Env) newWaiter() *waiter {
 	e.seq++
-	return &waiter{ch: make(chan struct{}), seq: e.seq, heapIdx: -1}
+	return &waiter{ch: make(chan struct{}), seq: e.seq, heapIdx: -1, parkIdx: -1}
 }
 
 // fire marks w runnable and unparks it. Caller holds e.mu.
@@ -107,18 +111,63 @@ func (e *Env) fire(w *waiter) {
 	if w.heapIdx >= 0 {
 		heap.Remove(&e.timers, w.heapIdx)
 	}
+	e.unpark(w)
 	e.runnable++
 	close(w.ch)
 }
 
-// block parks the calling goroutine on w. Caller holds e.mu; block unlocks it.
-func (e *Env) block(w *waiter) {
+// unpark swap-removes w from the parked set. Caller holds e.mu.
+func (e *Env) unpark(w *waiter) {
+	i := w.parkIdx
+	if i < 0 {
+		return
+	}
+	last := len(e.parked) - 1
+	e.parked[i] = e.parked[last]
+	e.parked[i].parkIdx = i
+	e.parked[last] = nil
+	e.parked = e.parked[:last]
+	w.parkIdx = -1
+}
+
+// block parks the calling goroutine on w. Caller holds e.mu; block unlocks
+// it. It reports whether the environment stopped instead of waking w (see
+// Run): the caller must then unwind with runtime.Goexit, after re-acquiring
+// any lock its deferred calls release. A goroutine that blocks after the
+// stop — typically in a deferred call during that unwind — is stopped at
+// once.
+func (e *Env) block(w *waiter) (stopped bool) {
+	if e.done {
+		w.fired, w.stopped = true, true
+		if w.heapIdx >= 0 {
+			heap.Remove(&e.timers, w.heapIdx)
+		}
+		e.mu.Unlock()
+		return true
+	}
+	w.parkIdx = len(e.parked)
+	e.parked = append(e.parked, w)
 	e.runnable--
 	if e.runnable == 0 {
 		e.advance()
 	}
 	e.mu.Unlock()
 	<-w.ch
+	return w.stopped
+}
+
+// stopLocked wakes every parked goroutine with its stopped flag set, so
+// each unwinds and exits instead of leaking. Each counts as runnable again
+// until its deferred exit runs. Caller holds e.mu and has set e.done.
+func (e *Env) stopLocked() {
+	for _, w := range e.parked {
+		w.parkIdx, w.heapIdx = -1, -1
+		w.fired, w.stopped = true, true
+		e.runnable++
+		close(w.ch)
+	}
+	e.parked = nil
+	e.timers = nil
 }
 
 // advance moves virtual time forward to the next timer and fires it.
@@ -134,6 +183,7 @@ func (e *Env) advance() {
 		if e.panicVal == nil {
 			e.panicVal = "simtime: deadlock — all managed goroutines blocked with no pending timers"
 		}
+		e.stopLocked()
 		e.closeOnce.Do(func() { close(e.rootDone) })
 		return
 	}
@@ -143,6 +193,7 @@ func (e *Env) advance() {
 	}
 	w.timedOut = true
 	w.fired = true
+	e.unpark(w)
 	e.runnable++
 	close(w.ch)
 }
@@ -158,7 +209,9 @@ func (e *Env) Sleep(d time.Duration) {
 	w := e.newWaiter()
 	w.wakeAt = e.now + d
 	heap.Push(&e.timers, w)
-	e.block(w)
+	if e.block(w) {
+		runtime.Goexit()
+	}
 }
 
 // Go spawns fn as a managed goroutine.
@@ -182,9 +235,14 @@ func (e *Env) exit() {
 }
 
 // Run executes fn as the root managed goroutine and returns when fn returns.
-// Other managed goroutines still blocked at that point are abandoned: the
-// clock stops and they never wake. Run must be called from an unmanaged
-// goroutine (typically the test or main goroutine), and at most once per Env.
+// The clock then stops, and every managed goroutine still blocked in this
+// package's primitives unwinds: its blocking call exits the goroutine with
+// runtime.Goexit, so deferred calls run (a Cond wait re-acquires its lock
+// first, so a deferred Unlock is safe) and the goroutine is collected. A
+// goroutine that blocks again, during that unwind or later, exits at once.
+// Unwinding goroutines may still be running their deferred calls when Run
+// returns. Run must be called from an unmanaged goroutine (typically the
+// test or main goroutine), and at most once per Env.
 func (e *Env) Run(fn func()) {
 	e.mu.Lock()
 	e.runnable++
@@ -192,8 +250,11 @@ func (e *Env) Run(fn func()) {
 	go func() {
 		defer func() {
 			e.mu.Lock()
-			e.done = true
 			e.runnable--
+			if !e.done {
+				e.done = true
+				e.stopLocked()
+			}
 			e.mu.Unlock()
 			e.closeOnce.Do(func() { close(e.rootDone) })
 		}()

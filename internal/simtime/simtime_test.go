@@ -1,7 +1,9 @@
 package simtime
 
 import (
+	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -297,4 +299,79 @@ func TestWaitGroupZeroWaitReturnsImmediately(t *testing.T) {
 		wg := e.NewWaitGroup()
 		wg.Wait() // counter is zero; must not block
 	})
+}
+
+// TestRunStopsParkedGoroutines: goroutines still blocked in any primitive
+// when the root returns unwind and exit instead of leaking. Their deferred
+// calls run with the Cond lock held again, so a deferred Unlock and a
+// deferred WaitGroup.Done are safe, and a goroutine that blocks again
+// while unwinding exits at once.
+func TestRunStopsParkedGoroutines(t *testing.T) {
+	baseline := runtime.NumGoroutine()
+	e := NewEnv()
+	var mu sync.Mutex
+	var unwound atomic.Int32
+	var reblocked atomic.Bool
+	const parked = 9
+	e.Run(func() {
+		cond := e.NewCond(&mu)
+		q := NewQueue[int](e)
+		sem := e.NewSemaphore(0)
+		rw := e.NewRWLock()
+		rw.Lock()
+		wg := e.NewWaitGroup()
+		wg.Add(1)
+		outer := e.NewWaitGroup()
+		outer.Add(1)
+		park := func(fn func()) {
+			e.Go(func() {
+				defer unwound.Add(1)
+				fn()
+				t.Error("parked goroutine returned")
+			})
+		}
+		park(func() { e.Sleep(time.Hour) })
+		park(func() { mu.Lock(); defer mu.Unlock(); cond.Wait() })
+		park(func() { mu.Lock(); defer mu.Unlock(); cond.WaitTimeout(time.Hour) })
+		park(func() { q.Pop() })
+		park(func() { sem.Acquire() })
+		park(func() { rw.RLock() })
+		park(func() { wg.Wait() })
+		park(func() {
+			defer outer.Done()
+			defer func() {
+				e.Sleep(time.Second)
+				reblocked.Store(true)
+			}()
+			e.Sleep(time.Hour)
+		})
+		park(func() {
+			rw2 := e.NewRWLock()
+			rw2.Lock()
+			defer rw2.Unlock()
+			e.Sleep(time.Hour)
+		})
+		e.Sleep(time.Second)
+	})
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > baseline && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+	}
+	if n := runtime.NumGoroutine(); n > baseline {
+		t.Fatalf("%d goroutines after Run, baseline %d", n, baseline)
+	}
+	if got := unwound.Load(); got != parked {
+		t.Fatalf("%d goroutines ran their deferred calls, want %d", got, parked)
+	}
+	if reblocked.Load() {
+		t.Fatal("a goroutine that blocked while unwinding resumed")
+	}
+	if !mu.TryLock() {
+		t.Fatal("deferred Unlock did not release the Cond lock")
+	}
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	if e.runnable != 0 || len(e.parked) != 0 {
+		t.Fatalf("after unwind: runnable=%d parked=%d, want 0 and 0", e.runnable, len(e.parked))
+	}
 }

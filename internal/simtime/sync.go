@@ -2,6 +2,7 @@ package simtime
 
 import (
 	"container/heap"
+	"runtime"
 	"sync"
 	"time"
 )
@@ -22,15 +23,19 @@ func (e *Env) NewCond(l sync.Locker) *Cond {
 }
 
 // Wait atomically releases c.L, parks until Signal/Broadcast, then
-// re-acquires c.L.
+// re-acquires c.L. If the environment stops instead (see Env.Run), Wait
+// re-acquires c.L and exits the goroutine.
 func (c *Cond) Wait() {
 	c.env.mu.Lock()
 	c.purgeLocked()
 	w := c.env.newWaiter()
 	c.waiters = append(c.waiters, w)
 	c.L.Unlock()
-	c.env.block(w) // unlocks env.mu
+	stopped := c.env.block(w) // unlocks env.mu
 	c.L.Lock()
+	if stopped {
+		runtime.Goexit()
+	}
 }
 
 // WaitTimeout is Wait with a virtual-time timeout. It reports true if the
@@ -46,8 +51,11 @@ func (c *Cond) WaitTimeout(d time.Duration) bool {
 	heap.Push(&c.env.timers, w)
 	c.waiters = append(c.waiters, w)
 	c.L.Unlock()
-	c.env.block(w)
+	stopped := c.env.block(w)
 	c.L.Lock()
+	if stopped {
+		runtime.Goexit()
+	}
 	return w.timedOut
 }
 
