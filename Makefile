@@ -34,11 +34,12 @@ bench-gate:
 	$(GO) run ./cmd/benchgate
 
 # Concurrency-stress suite: N emitting goroutines racing install/
-# uninstall/flush with exact tuple accounting, plus the sharded
-# accumulator's exactness/ordering/drop-accounting suite — under the
-# race detector, twice, to shake out interleavings.
+# uninstall/flush with exact tuple accounting, the sharded accumulator's
+# exactness/ordering/drop-accounting suite, and simtime's seeded
+# waiter-recycling mixes plus its stop-and-unwind test — under the race
+# detector, twice, to shake out interleavings.
 stress:
-	$(GO) test ./internal/agent ./internal/advice -race -count=2 -run 'TestStress|TestSharded'
+	$(GO) test ./internal/agent ./internal/advice ./internal/simtime -race -count=2 -run 'TestStress|TestSharded|TestRunStopsParkedGoroutines'
 
 # Replay the checked-in fuzz corpora, then give each target a short live
 # fuzzing burst. FUZZTIME=2m fuzz-smoke for a deeper local run.

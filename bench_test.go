@@ -734,3 +734,63 @@ func BenchmarkNetsimEventQueue(b *testing.B) {
 		wg.Wait()
 	})
 }
+
+// BenchmarkSimtimeHandoff is the rung beneath BenchmarkNetsimEventQueue:
+// the bare scheduler hand-off, with no network model on top. 64 managed
+// goroutines Sleep staggered durations, so each op is one timer push, one
+// pop and one goroutine wake. ns/op and allocs/op are per Sleep.
+func BenchmarkSimtimeHandoff(b *testing.B) {
+	const goroutines = 64
+	b.ReportAllocs()
+	env := simtime.NewEnv()
+	env.Run(func() {
+		wg := env.NewWaitGroup()
+		per := (b.N + goroutines - 1) / goroutines
+		for i := 0; i < goroutines; i++ {
+			i := i
+			wg.Add(1)
+			env.Go(func() {
+				defer wg.Done()
+				for k := 0; k < per; k++ {
+					env.Sleep(time.Duration(1+(i+k)%13) * time.Microsecond)
+				}
+			})
+		}
+		wg.Wait()
+	})
+}
+
+// BenchmarkSimtimeRWLockContended measures the queued acquisition path of
+// simtime.RWLock, which the HDFS NameNode takes on every namespace RPC:
+// 8 goroutines contend, every 4th acquisition is a writer, and each holder
+// Sleeps while holding the lock so the queue never drains. ns/op and
+// allocs/op are per acquisition, the holder's Sleep included.
+func BenchmarkSimtimeRWLockContended(b *testing.B) {
+	const goroutines = 8
+	b.ReportAllocs()
+	env := simtime.NewEnv()
+	env.Run(func() {
+		l := env.NewRWLock()
+		wg := env.NewWaitGroup()
+		per := (b.N + goroutines - 1) / goroutines
+		for i := 0; i < goroutines; i++ {
+			i := i
+			wg.Add(1)
+			env.Go(func() {
+				defer wg.Done()
+				for k := 0; k < per; k++ {
+					if (i+k)%4 == 0 {
+						l.Lock()
+						env.Sleep(time.Microsecond)
+						l.Unlock()
+					} else {
+						l.RLock()
+						env.Sleep(time.Microsecond)
+						l.RUnlock()
+					}
+				}
+			})
+		}
+		wg.Wait()
+	})
+}

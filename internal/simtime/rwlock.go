@@ -13,22 +13,20 @@ import "sync"
 // of broadcast-based wakeups (which can starve closed-loop clients
 // entirely under heavy contention).
 type RWLock struct {
-	env     *Env
 	mu      sync.Mutex
+	cond    *Cond // the queued acquisitions, parked in arrival order
 	readers int
 	writer  bool
-	queue   []*rwWaiter
-}
-
-type rwWaiter struct {
-	writing bool
-	granted bool
-	c       *Cond
+	queue   fifo[bool] // writing flag of each queued acquisition, oldest first
+	tickets uint64     // acquisitions queued so far
+	granted uint64     // queued acquisitions granted so far
 }
 
 // NewRWLock returns an unlocked RWLock.
 func (e *Env) NewRWLock() *RWLock {
-	return &RWLock{env: e}
+	l := &RWLock{}
+	l.cond = e.NewCond(&l.mu)
+	return l
 }
 
 // RLock acquires the lock for reading. Readers queue behind any earlier
@@ -36,15 +34,11 @@ func (e *Env) NewRWLock() *RWLock {
 func (l *RWLock) RLock() {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if !l.writer && len(l.queue) == 0 {
+	if !l.writer && l.queue.len() == 0 {
 		l.readers++
 		return
 	}
-	w := &rwWaiter{c: l.env.NewCond(&l.mu)}
-	l.queue = append(l.queue, w)
-	for !w.granted {
-		w.c.Wait()
-	}
+	l.awaitLocked(false)
 }
 
 // RUnlock releases a read acquisition.
@@ -64,15 +58,11 @@ func (l *RWLock) RUnlock() {
 func (l *RWLock) Lock() {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if !l.writer && l.readers == 0 && len(l.queue) == 0 {
+	if !l.writer && l.readers == 0 && l.queue.len() == 0 {
 		l.writer = true
 		return
 	}
-	w := &rwWaiter{writing: true, c: l.env.NewCond(&l.mu)}
-	l.queue = append(l.queue, w)
-	for !w.granted {
-		w.c.Wait()
-	}
+	l.awaitLocked(true)
 }
 
 // Unlock releases an exclusive acquisition.
@@ -86,28 +76,33 @@ func (l *RWLock) Unlock() {
 	l.releaseLocked()
 }
 
+// awaitLocked queues an acquisition and parks until releaseLocked grants
+// it. The queue and l.cond are both FIFO and both appended to under l.mu
+// (Wait enqueues before releasing it), so the waiter each grant Signals is
+// the one it granted. Caller holds l.mu.
+func (l *RWLock) awaitLocked(writing bool) {
+	ticket := l.tickets
+	l.tickets++
+	l.queue.push(writing)
+	for l.granted <= ticket {
+		l.cond.Wait()
+	}
+}
+
 // releaseLocked hands the lock to the head of the queue: one writer, or a
 // batch of consecutive readers. Caller holds l.mu.
 func (l *RWLock) releaseLocked() {
-	if len(l.queue) == 0 {
-		return
-	}
-	if l.queue[0].writing {
-		if l.readers > 0 {
-			return // readers still draining
+	for l.queue.len() > 0 && !l.writer {
+		if l.queue.front() {
+			if l.readers > 0 {
+				return // readers still draining
+			}
+			l.writer = true
+		} else {
+			l.readers++
 		}
-		w := l.queue[0]
-		l.queue = l.queue[1:]
-		l.writer = true
-		w.granted = true
-		w.c.Signal()
-		return
-	}
-	for len(l.queue) > 0 && !l.queue[0].writing {
-		w := l.queue[0]
-		l.queue = l.queue[1:]
-		l.readers++
-		w.granted = true
-		w.c.Signal()
+		l.queue.pop()
+		l.granted++
+		l.cond.Signal()
 	}
 }

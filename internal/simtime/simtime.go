@@ -3,17 +3,16 @@
 //
 // Code under simulation runs in "managed" goroutines spawned with Env.Go or
 // Env.Run. Managed goroutines must block only through the primitives in this
-// package (Sleep, Cond, Queue, Semaphore, WaitGroup). When every managed
-// goroutine is blocked, the environment advances virtual time to the next
-// pending timer — so a simulated experiment spanning minutes of virtual time
-// completes in milliseconds of real time.
+// package (Sleep, Cond, Queue, Semaphore, WaitGroup, RWLock). When every
+// managed goroutine is blocked, the environment advances virtual time to the
+// next pending timer — so a simulated experiment spanning minutes of virtual
+// time completes in milliseconds of real time.
 //
 // The clock never advances while any managed goroutine is runnable, which
 // makes timing exact: a Sleep(d) wakes at precisely now+d in virtual time.
 package simtime
 
 import (
-	"container/heap"
 	"fmt"
 	"runtime"
 	"sync"
@@ -26,8 +25,9 @@ type Env struct {
 	mu        sync.Mutex
 	now       time.Duration
 	seq       int64
-	timers    timerHeap
+	timers    []*waiter // min-heap ordered by (wakeAt, seq)
 	parked    []*waiter // managed goroutines blocked in block, for stopLocked
+	free      []*waiter // recycled waiters, reused by newWaiter
 	runnable  int
 	done      bool
 	rootDone  chan struct{}
@@ -55,9 +55,12 @@ func (e *Env) Done() bool {
 	return e.done
 }
 
-// waiter represents one parked managed goroutine.
+// waiter represents one parked managed goroutine. Waiters are recycled
+// through Env.free. Each wake sends exactly one token on ch, which the woken
+// goroutine consumes: the send, made under e.mu, never blocks, and a
+// released waiter's channel is always empty.
 type waiter struct {
-	ch       chan struct{}
+	ch       chan struct{} // capacity 1
 	wakeAt   time.Duration
 	seq      int64
 	heapIdx  int // index in the timer heap, -1 if not scheduled
@@ -67,39 +70,94 @@ type waiter struct {
 	stopped  bool // woken by stopLocked: the parked goroutine must unwind
 }
 
-// timerHeap is a min-heap of waiters ordered by (wakeAt, seq).
-type timerHeap []*waiter
-
-func (h timerHeap) Len() int { return len(h) }
-func (h timerHeap) Less(i, j int) bool {
-	if h[i].wakeAt != h[j].wakeAt {
-		return h[i].wakeAt < h[j].wakeAt
+// newWaiter returns a fresh or recycled waiter. Caller holds e.mu.
+func (e *Env) newWaiter() *waiter {
+	e.seq++
+	if n := len(e.free); n > 0 {
+		w := e.free[n-1]
+		e.free[n-1] = nil
+		e.free = e.free[:n-1]
+		*w = waiter{ch: w.ch, seq: e.seq, heapIdx: -1, parkIdx: -1}
+		return w
 	}
-	return h[i].seq < h[j].seq
+	return &waiter{ch: make(chan struct{}, 1), seq: e.seq, heapIdx: -1, parkIdx: -1}
 }
-func (h timerHeap) Swap(i, j int) {
-	h[i], h[j] = h[j], h[i]
-	h[i].heapIdx = i
-	h[j].heapIdx = j
+
+// release returns w to the free list. The caller must be the goroutine w
+// woke, and nothing may refer to w any more: not the timer heap, not the
+// parked set, not any Cond's waiters. A stopped waiter is never released.
+// Caller holds e.mu.
+func (e *Env) release(w *waiter) {
+	e.free = append(e.free, w)
 }
-func (h *timerHeap) Push(x any) {
-	w := x.(*waiter)
-	w.heapIdx = len(*h)
-	*h = append(*h, w)
+
+// before orders the timer heap by wake time, then by creation.
+func (w *waiter) before(o *waiter) bool {
+	if w.wakeAt != o.wakeAt {
+		return w.wakeAt < o.wakeAt
+	}
+	return w.seq < o.seq
 }
-func (h *timerHeap) Pop() any {
-	old := *h
-	n := len(old)
-	w := old[n-1]
-	old[n-1] = nil
+
+// pushTimer schedules w in the timer heap. Caller holds e.mu.
+func (e *Env) pushTimer(w *waiter) {
+	e.timers = append(e.timers, w)
+	e.siftUp(w, len(e.timers)-1)
+}
+
+// removeTimer unschedules the waiter at heap index i and returns it.
+// Caller holds e.mu.
+func (e *Env) removeTimer(i int) *waiter {
+	h := e.timers
+	w, last := h[i], h[len(h)-1]
+	h[len(h)-1] = nil
+	e.timers = h[:len(h)-1]
 	w.heapIdx = -1
-	*h = old[:n-1]
+	if last != w && !e.siftDown(last, i) {
+		e.siftUp(last, i)
+	}
 	return w
 }
 
-func (e *Env) newWaiter() *waiter {
-	e.seq++
-	return &waiter{ch: make(chan struct{}), seq: e.seq, heapIdx: -1, parkIdx: -1}
+// siftUp places w at index i or above, moving larger parents down.
+func (e *Env) siftUp(w *waiter, i int) {
+	h := e.timers
+	for i > 0 {
+		p := (i - 1) / 2
+		if !w.before(h[p]) {
+			break
+		}
+		h[i] = h[p]
+		h[i].heapIdx = i
+		i = p
+	}
+	h[i] = w
+	w.heapIdx = i
+}
+
+// siftDown places w at index i or below, moving smaller children up. It
+// reports whether w moved.
+func (e *Env) siftDown(w *waiter, i int) bool {
+	h := e.timers
+	start := i
+	for {
+		c := 2*i + 1
+		if c >= len(h) {
+			break
+		}
+		if r := c + 1; r < len(h) && h[r].before(h[c]) {
+			c = r
+		}
+		if !h[c].before(w) {
+			break
+		}
+		h[i] = h[c]
+		h[i].heapIdx = i
+		i = c
+	}
+	h[i] = w
+	w.heapIdx = i
+	return i > start
 }
 
 // fire marks w runnable and unparks it. Caller holds e.mu.
@@ -109,11 +167,11 @@ func (e *Env) fire(w *waiter) {
 	}
 	w.fired = true
 	if w.heapIdx >= 0 {
-		heap.Remove(&e.timers, w.heapIdx)
+		e.removeTimer(w.heapIdx)
 	}
 	e.unpark(w)
 	e.runnable++
-	close(w.ch)
+	w.ch <- struct{}{}
 }
 
 // unpark swap-removes w from the parked set. Caller holds e.mu.
@@ -140,7 +198,7 @@ func (e *Env) block(w *waiter) (stopped bool) {
 	if e.done {
 		w.fired, w.stopped = true, true
 		if w.heapIdx >= 0 {
-			heap.Remove(&e.timers, w.heapIdx)
+			e.removeTimer(w.heapIdx)
 		}
 		e.mu.Unlock()
 		return true
@@ -164,7 +222,7 @@ func (e *Env) stopLocked() {
 		w.parkIdx, w.heapIdx = -1, -1
 		w.fired, w.stopped = true, true
 		e.runnable++
-		close(w.ch)
+		w.ch <- struct{}{}
 	}
 	e.parked = nil
 	e.timers = nil
@@ -176,7 +234,7 @@ func (e *Env) advance() {
 	if e.done {
 		return
 	}
-	if e.timers.Len() == 0 {
+	if len(e.timers) == 0 {
 		// Deadlock: every managed goroutine is blocked and no timer is
 		// pending. Route the panic to the goroutine that called Run.
 		e.done = true
@@ -187,7 +245,7 @@ func (e *Env) advance() {
 		e.closeOnce.Do(func() { close(e.rootDone) })
 		return
 	}
-	w := heap.Pop(&e.timers).(*waiter)
+	w := e.removeTimer(0)
 	if w.wakeAt > e.now {
 		e.now = w.wakeAt
 	}
@@ -195,7 +253,7 @@ func (e *Env) advance() {
 	w.fired = true
 	e.unpark(w)
 	e.runnable++
-	close(w.ch)
+	w.ch <- struct{}{}
 }
 
 // Sleep blocks the calling managed goroutine for d of virtual time.
@@ -208,10 +266,13 @@ func (e *Env) Sleep(d time.Duration) {
 	e.mu.Lock()
 	w := e.newWaiter()
 	w.wakeAt = e.now + d
-	heap.Push(&e.timers, w)
+	e.pushTimer(w)
 	if e.block(w) {
 		runtime.Goexit()
 	}
+	e.mu.Lock()
+	e.release(w)
+	e.mu.Unlock()
 }
 
 // Go spawns fn as a managed goroutine.
@@ -283,5 +344,5 @@ func (e *Env) String() string {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	return fmt.Sprintf("simtime.Env{now=%v runnable=%d timers=%d done=%v}",
-		e.now, e.runnable, e.timers.Len(), e.done)
+		e.now, e.runnable, len(e.timers), e.done)
 }

@@ -1,8 +1,8 @@
 package simtime
 
 import (
-	"container/heap"
 	"runtime"
+	"slices"
 	"sync"
 	"time"
 )
@@ -14,7 +14,7 @@ import (
 type Cond struct {
 	L       sync.Locker
 	env     *Env
-	waiters []*waiter
+	waiters fifo[*waiter]
 }
 
 // NewCond returns a condition variable bound to l.
@@ -26,16 +26,19 @@ func (e *Env) NewCond(l sync.Locker) *Cond {
 // re-acquires c.L. If the environment stops instead (see Env.Run), Wait
 // re-acquires c.L and exits the goroutine.
 func (c *Cond) Wait() {
-	c.env.mu.Lock()
-	c.purgeLocked()
-	w := c.env.newWaiter()
-	c.waiters = append(c.waiters, w)
+	e := c.env
+	e.mu.Lock()
+	w := e.newWaiter()
+	c.waiters.push(w)
 	c.L.Unlock()
-	stopped := c.env.block(w) // unlocks env.mu
-	c.L.Lock()
-	if stopped {
+	if e.block(w) { // unlocks e.mu
+		c.L.Lock()
 		runtime.Goexit()
 	}
+	e.mu.Lock()
+	e.release(w) // Signal or Broadcast dequeued w before waking it
+	e.mu.Unlock()
+	c.L.Lock()
 }
 
 // WaitTimeout is Wait with a virtual-time timeout. It reports true if the
@@ -44,29 +47,38 @@ func (c *Cond) WaitTimeout(d time.Duration) bool {
 	if d < 0 {
 		d = 0
 	}
-	c.env.mu.Lock()
-	c.purgeLocked()
-	w := c.env.newWaiter()
-	w.wakeAt = c.env.now + d
-	heap.Push(&c.env.timers, w)
-	c.waiters = append(c.waiters, w)
+	e := c.env
+	e.mu.Lock()
+	w := e.newWaiter()
+	w.wakeAt = e.now + d
+	e.pushTimer(w)
+	c.waiters.push(w)
 	c.L.Unlock()
-	stopped := c.env.block(w)
-	c.L.Lock()
-	if stopped {
+	if e.block(w) {
+		c.L.Lock()
 		runtime.Goexit()
 	}
-	return w.timedOut
+	e.mu.Lock()
+	timedOut := w.timedOut
+	if timedOut {
+		// The timer woke w while it was still queued; drop it unless a
+		// Signal or Broadcast already skipped past it.
+		if i := slices.Index(c.waiters.items(), w); i >= 0 {
+			c.waiters.delete(i)
+		}
+	}
+	e.release(w)
+	e.mu.Unlock()
+	c.L.Lock()
+	return timedOut
 }
 
 // Signal unparks one waiting goroutine, in FIFO order.
 func (c *Cond) Signal() {
 	c.env.mu.Lock()
 	defer c.env.mu.Unlock()
-	for len(c.waiters) > 0 {
-		w := c.waiters[0]
-		c.waiters = c.waiters[1:]
-		if !w.fired {
+	for c.waiters.len() > 0 {
+		if w := c.waiters.pop(); !w.fired {
 			c.env.fire(w)
 			return
 		}
@@ -77,30 +89,52 @@ func (c *Cond) Signal() {
 func (c *Cond) Broadcast() {
 	c.env.mu.Lock()
 	defer c.env.mu.Unlock()
-	for _, w := range c.waiters {
-		if !w.fired {
+	for c.waiters.len() > 0 {
+		if w := c.waiters.pop(); !w.fired {
 			c.env.fire(w)
 		}
 	}
-	c.waiters = c.waiters[:0]
 }
 
-// compact drops fired waiters so repeated timeouts don't grow the slice.
-func (c *Cond) compact() {
-	c.env.mu.Lock()
-	defer c.env.mu.Unlock()
-	c.purgeLocked()
+// fifo is a first-in first-out queue on a slice whose backing array is
+// reused, so a steady push/pop cycle does not allocate.
+type fifo[T any] struct {
+	buf  []T
+	head int // buf[head:] holds the queued items, oldest first
 }
 
-// purgeLocked drops fired waiters. Caller holds env.mu.
-func (c *Cond) purgeLocked() {
-	live := c.waiters[:0]
-	for _, w := range c.waiters {
-		if !w.fired {
-			live = append(live, w)
-		}
+func (q *fifo[T]) len() int   { return len(q.buf) - q.head }
+func (q *fifo[T]) items() []T { return q.buf[q.head:] }
+func (q *fifo[T]) front() T   { return q.buf[q.head] }
+
+func (q *fifo[T]) push(v T) {
+	// Slide the items to the front instead of growing once at least half
+	// of a full array is spent.
+	if len(q.buf) == cap(q.buf) && q.head > 0 && q.head >= len(q.buf)/2 {
+		n := copy(q.buf, q.buf[q.head:])
+		clear(q.buf[n:])
+		q.buf, q.head = q.buf[:n], 0
 	}
-	c.waiters = live
+	q.buf = append(q.buf, v)
+}
+
+func (q *fifo[T]) pop() T {
+	v := q.buf[q.head]
+	var zero T
+	q.buf[q.head] = zero
+	q.head++
+	if q.head == len(q.buf) {
+		q.buf, q.head = q.buf[:0], 0
+	}
+	return v
+}
+
+// delete removes the i-th oldest item.
+func (q *fifo[T]) delete(i int) {
+	q.buf = slices.Delete(q.buf, q.head+i, q.head+i+1)
+	if q.head == len(q.buf) {
+		q.buf, q.head = q.buf[:0], 0
+	}
 }
 
 // Queue is an unbounded FIFO queue of items; Pop blocks in virtual time
@@ -150,7 +184,6 @@ func (q *Queue[T]) PopTimeout(d time.Duration) (item T, ok bool) {
 			return item, false
 		}
 		if q.cond.WaitTimeout(remaining) && len(q.items) == 0 {
-			q.cond.compact()
 			return item, false
 		}
 	}
